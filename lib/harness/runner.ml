@@ -7,6 +7,7 @@ module Solver = Sepsat_sat.Solver
 module Hybrid = Sepsat_encode.Hybrid
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
+module Json_string = Sepsat_obs.Json_string
 
 type outcome = Completed | Timed_out | Blew_up
 
@@ -133,21 +134,6 @@ let normalized_time ~deadline_s row =
 
 (* -- Machine-readable export (hand-rolled JSON, no dependency) ------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let verdict_label = function
   | Verdict.Valid -> "valid"
   | Verdict.Invalid _ -> "invalid"
@@ -162,23 +148,25 @@ let row_to_json row =
   let method_str = Format.asprintf "%a" Decide.pp_method row.method_ in
   let winner_str =
     match row.winner with
-    | Some m -> Printf.sprintf "%S" (Format.asprintf "%a" Decide.pp_method m)
+    | Some m -> Json_string.quote (Format.asprintf "%a" Decide.pp_method m)
     | None -> "null"
   in
   let phases_str =
     String.concat ", "
       (List.map
-         (fun (name, t) -> Printf.sprintf "\"%s\": %.6f" (json_escape name) t)
+         (fun (name, t) -> Printf.sprintf "%s: %.6f" (Json_string.quote name) t)
          row.phase_times)
   in
   Printf.sprintf
-    "{\"bench\": \"%s\", \"family\": \"%s\", \"method\": \"%s\", \"verdict\": \
+    "{\"bench\": %s, \"family\": %s, \"method\": %s, \"verdict\": \
      \"%s\", \"outcome\": \"%s\", \"wall_time\": %.6f, \"cpu_time\": %.6f, \
      \"translate_time\": %.6f, \"sat_time\": %.6f, \"phase_times\": {%s}, \
      \"size\": %d, \"sep_cnt\": %d, \"cnf_clauses\": %d, \"conflicts\": %d, \
      \"decisions\": %d, \"propagations\": %d, \"winner\": %s, \"gc\": \
      {\"alloc_words\": %.0f, \"major_words\": %.0f, \"heap_words\": %d}}"
-    (json_escape row.bench) (json_escape row.family) (json_escape method_str)
+    (Json_string.quote row.bench)
+    (Json_string.quote row.family)
+    (Json_string.quote method_str)
     (verdict_label row.verdict)
     (outcome_label row.outcome)
     row.wall_time row.total_time row.translate_time row.sat_time phases_str

@@ -3,21 +3,6 @@
    duration events, i instants, C counters and M metadata, which both
    chrome://tracing and Perfetto load. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 type out = { buf : Buffer.t; mutable first : bool }
 
 let emit o fmt =
@@ -44,21 +29,21 @@ let emit_spans o ~tid spans =
      request's spans across every lane. *)
   let rid_args rid =
     if rid = "" then ""
-    else Printf.sprintf ", \"args\": {\"rid\": \"%s\"}" (escape rid)
+    else Printf.sprintf ", \"args\": {\"rid\": %s}" (Json_string.quote rid)
   in
   let emit_b (name, cat, rid, ts, _) =
     emit o
-      "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"B\", \"pid\": 0, \
+      "{\"name\": %s, \"cat\": %s, \"ph\": \"B\", \"pid\": 0, \
        \"tid\": %d, \"ts\": %.3f%s}"
-      (escape name)
-      (escape (if cat = "" then "sepsat" else cat))
+      (Json_string.quote name)
+      (Json_string.quote (if cat = "" then "sepsat" else cat))
       tid ts (rid_args rid)
   in
   let emit_e ~at (name, _, _, _, _) =
     emit o
-      "{\"name\": \"%s\", \"ph\": \"E\", \"pid\": 0, \"tid\": %d, \"ts\": \
+      "{\"name\": %s, \"ph\": \"E\", \"pid\": 0, \"tid\": %d, \"ts\": \
        %.3f}"
-      (escape name) tid at
+      (Json_string.quote name) tid at
   in
   let ends (_, _, _, ts, d) = ts +. d in
   let contains p c = ends c <= ends p in
@@ -109,8 +94,8 @@ let to_buffer buf evs =
     (fun (tid, name) ->
       emit o
         "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": %d, \
-         \"args\": {\"name\": \"%s\"}}"
-        tid (escape name))
+         \"args\": {\"name\": %s}}"
+        tid (Json_string.quote name))
     (Obs.thread_names ());
   (* Group spans per tid so each lane's B/E stream nests independently. *)
   let by_tid :
@@ -131,18 +116,20 @@ let to_buffer buf evs =
         r := (name, cat, rid, us ts, dur *. 1e6) :: !r
       | Obs.Instant { name; cat; ts; tid; rid } ->
         emit o
-          "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \
+          "{\"name\": %s, \"cat\": %s, \"ph\": \"i\", \"s\": \"t\", \
            \"pid\": 0, \"tid\": %d, \"ts\": %.3f%s}"
-          (escape name)
-          (escape (if cat = "" then "sepsat" else cat))
+          (Json_string.quote name)
+          (Json_string.quote (if cat = "" then "sepsat" else cat))
           tid (us ts)
           (if rid = "" then ""
-           else Printf.sprintf ", \"args\": {\"rid\": \"%s\"}" (escape rid))
+           else
+             Printf.sprintf ", \"args\": {\"rid\": %s}"
+               (Json_string.quote rid))
       | Obs.Sample { name; ts; value; tid } ->
         emit o
-          "{\"name\": \"%s\", \"ph\": \"C\", \"pid\": 0, \"tid\": %d, \"ts\": \
+          "{\"name\": %s, \"ph\": \"C\", \"pid\": 0, \"tid\": %d, \"ts\": \
            %.3f, \"args\": {\"value\": %.6g}}"
-          (escape name) tid (us ts) value)
+          (Json_string.quote name) tid (us ts) value)
     evs;
   let tids =
     Hashtbl.fold (fun tid _ acc -> tid :: acc) by_tid [] |> List.sort compare

@@ -133,31 +133,15 @@ let dropped () =
 
 (* -- JSON dump ------------------------------------------------------------ *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let add_record buf r =
   Buffer.add_string buf
     (Printf.sprintf "{\"ts\": %.6f, \"mono\": %.6f, \"tid\": %d, \"kind\": \"%s\", "
        r.fr_ts r.fr_mono r.fr_tid (kind_name r.fr_kind));
   Buffer.add_string buf "\"name\": ";
-  add_json_string buf r.fr_name;
+  Json_string.add buf r.fr_name;
   if r.fr_rid <> "" then begin
     Buffer.add_string buf ", \"rid\": ";
-    add_json_string buf r.fr_rid
+    Json_string.add buf r.fr_rid
   end;
   if r.fr_dur_ms <> 0. then
     Buffer.add_string buf (Printf.sprintf ", \"dur_ms\": %.6f" r.fr_dur_ms);
@@ -166,9 +150,9 @@ let add_record buf r =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string buf ", ";
-        add_json_string buf k;
+        Json_string.add buf k;
         Buffer.add_string buf ": ";
-        add_json_string buf v)
+        Json_string.add buf v)
       r.fr_data;
     Buffer.add_char buf '}'
   end;
@@ -251,7 +235,7 @@ let assemble ?rid sources =
            "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %d, \
             \"tid\": 0, \"args\": {\"name\": "
            pid);
-      add_json_string buf src.src_label;
+      Json_string.add buf src.src_label;
       Buffer.add_string buf "}}")
     sources;
   (* Flatten, tag with the source lane, and sort by start time so the
@@ -276,7 +260,7 @@ let assemble ?rid sources =
     (fun (start_us, pid, r) ->
       sep ();
       Buffer.add_string buf "{\"name\": ";
-      add_json_string buf r.fr_name;
+      Json_string.add buf r.fr_name;
       Buffer.add_string buf
         (Printf.sprintf
            ", \"cat\": \"%s\", \"pid\": %d, \"tid\": %d, \"ts\": %.3f"
@@ -288,13 +272,13 @@ let assemble ?rid sources =
       else Buffer.add_string buf ", \"ph\": \"i\", \"s\": \"t\"";
       Buffer.add_string buf ", \"args\": {";
       Buffer.add_string buf "\"rid\": ";
-      add_json_string buf r.fr_rid;
+      Json_string.add buf r.fr_rid;
       List.iter
         (fun (k, v) ->
           Buffer.add_string buf ", ";
-          add_json_string buf ("data." ^ k);
+          Json_string.add buf ("data." ^ k);
           Buffer.add_string buf ": ";
-          add_json_string buf v)
+          Json_string.add buf v)
         r.fr_data;
       Buffer.add_string buf "}}")
     events;

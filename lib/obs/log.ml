@@ -71,24 +71,8 @@ let current_fields () = Domain.DLS.get ctx_key
 let buf_key : Buffer.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Buffer.create 256)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let add_value buf = function
-  | S s -> add_json_string buf s
+  | S s -> Json_string.add buf s
   | I i -> Buffer.add_string buf (string_of_int i)
   | B b -> Buffer.add_string buf (if b then "true" else "false")
   | F f ->
@@ -99,7 +83,7 @@ let add_value buf = function
 
 let add_field buf (k, v) =
   Buffer.add_string buf ", ";
-  add_json_string buf k;
+  Json_string.add buf k;
   Buffer.add_string buf ": ";
   add_value buf v
 
@@ -148,7 +132,7 @@ let event ?(level = Obs.Info) name fields =
           Buffer.add_string buf
             (Printf.sprintf "{\"ts\": %.6f, \"level\": \"%s\", \"event\": "
                (Unix.gettimeofday ()) (level_name level));
-          add_json_string buf name;
+          Json_string.add buf name;
           List.iter (add_field buf) fields;
           (* Ambient context after the explicit fields; a context key shadowed
              by an explicit field is dropped so lookups (first occurrence

@@ -200,9 +200,9 @@ let to_json () =
                  (List.map
                     (fun (ub, e) ->
                       Printf.sprintf
-                        "{\"le\": %s, \"rid\": \"%s\", \"value\": %s, \"ts\": \
+                        "{\"le\": %s, \"rid\": %s, \"value\": %s, \"ts\": \
                          %.6f}"
-                        (json_float ub) (String.escaped e.ex_rid)
+                        (json_float ub) (Json_string.quote e.ex_rid)
                         (json_float e.ex_value) e.ex_ts)
                     exemplars))
         in
@@ -217,7 +217,7 @@ let to_json () =
                 buckets))
           exemplars_json
     in
-    Printf.sprintf "\"%s\": %s" name body
+    Printf.sprintf "%s: %s" (Json_string.quote name) body
   in
   "{" ^ String.concat ", " (List.map entry (snapshot ())) ^ "}"
 

@@ -155,6 +155,10 @@ let add_clause e lits =
           end
         in
         pick 0 2;
+        (* Slot 0 still false means every literal past slot 1 is false
+           too; move [arr.(1)] to the front so the unit case below sees a
+           clause that is unit on arrival. *)
+        if value e arr.(0) = -1 then swap 0 1;
         pick 1 2;
         Vec.push (Vec.get e.watches (Lit.to_int (Lit.neg arr.(0)))) c;
         Vec.push (Vec.get e.watches (Lit.to_int (Lit.neg arr.(1)))) c;

@@ -424,7 +424,20 @@ let maybe_inprocess (s : t) ~deadline =
 let solve ?(deadline = Deadline.none) ?(conflict_budget = 0) ?(assumptions = [])
     (s : t) =
   s.Db.conflict_core <- [];
-  if not s.Db.ok then Unsat
+  if not s.Db.ok then begin
+    (* Refuted for good: no search or model extension follows, so the
+       assumption variables are revived and frozen without restoring the
+       clauses their elimination parked. *)
+    List.iter
+      (fun l ->
+        let v = Lit.var l in
+        if v < s.Db.nvars then begin
+          s.Db.elimed.(v) <- false;
+          freeze s v
+        end)
+      assumptions;
+    Unsat
+  end
   else begin
     Db.cancel_until s 0;
     s.Db.model <- None;
@@ -528,36 +541,6 @@ let export_cnf (s : t) =
       clauses := List.map Lit.of_int (Db.clause_lits_list s cr) :: !clauses
   done;
   (s.Db.nvars, !clauses)
-
-(* Branch-variable ranking for cube-and-conquer: unassigned, uneliminated
-   variables ordered by VSIDS activity, problem-clause occurrence count as
-   the tie-break (activity ties are common right after a short probe, when
-   many variables still sit at their initial bump). *)
-let top_vars (s : t) k =
-  let n = s.Db.nvars in
-  let occ = Array.make (max 1 n) 0 in
-  for i = 0 to Iv.size s.Db.clauses - 1 do
-    let cr = Iv.get s.Db.clauses i in
-    if not (Db.clause_dead s cr) then
-      for j = 0 to Db.clause_size s cr - 1 do
-        let v = Db.clause_lit s cr j lsr 1 in
-        occ.(v) <- occ.(v) + 1
-      done
-  done;
-  let cand = ref [] in
-  for v = n - 1 downto 0 do
-    if s.Db.assigns.(v) = 0 && not s.Db.elimed.(v) then cand := v :: !cand
-  done;
-  let arr = Array.of_list !cand in
-  Array.sort
-    (fun a b ->
-      let c = compare s.Db.var_act.(b) s.Db.var_act.(a) in
-      if c <> 0 then c
-      else
-        let c = compare occ.(b) occ.(a) in
-        if c <> 0 then c else compare a b)
-    arr;
-  Array.to_list (Array.sub arr 0 (min k (Array.length arr)))
 
 let pp_stats ppf st =
   Format.fprintf ppf

@@ -133,14 +133,6 @@ val export_cnf : t -> int * Lit.t list list
     not included. Feed to {!Dimacs.print} via its [cnf] record for
     interchange with external solvers. *)
 
-val top_vars : t -> int -> int list
-(** [top_vars s k]: up to [k] unassigned, uneliminated variables in
-    decreasing VSIDS-activity order (problem-clause occurrence count breaks
-    ties). After a short budgeted [solve] probe this ranks the most
-    conflict-implicated variables — the cube-and-conquer splitter branches
-    on them. Root-level assignments and simplifier-eliminated variables are
-    excluded, so every returned variable is a sound assumption candidate. *)
-
 val stats : t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit

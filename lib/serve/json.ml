@@ -231,24 +231,6 @@ let parse s =
 
 (* -- Printing -------------------------------------------------------------- *)
 
-let escape_to buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
@@ -270,7 +252,7 @@ let to_string v =
       if Float.is_nan f || Float.abs f = infinity then
         Buffer.add_string buf "null"
       else Buffer.add_string buf (number_to_string f)
-    | Str s -> escape_to buf s
+    | Str s -> Sepsat_obs.Json_string.add buf s
     | Arr items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -284,7 +266,7 @@ let to_string v =
       List.iteri
         (fun i (k, item) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape_to buf k;
+          Sepsat_obs.Json_string.add buf k;
           Buffer.add_char buf ':';
           go item)
         members;

@@ -22,143 +22,22 @@ let fresh ?capacity () =
   Progress.set_callback None;
   Obs.enable ?capacity ()
 
-(* -- A minimal JSON reader, just enough to validate exporter output ------- *)
+(* -- Exporter output goes through the protocol's strict JSON parser ------ *)
 
 module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+  include Sepsat_serve.Json
 
-  exception Bad of string
+  let parse s =
+    match parse s with Ok v -> v | Error e -> Alcotest.failf "%s in %S" e s
 
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else '\255' in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      if peek () <> c then
-        raise (Bad (Printf.sprintf "expected %c at %d" c !pos));
-      advance ()
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (match peek () with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-            (* skip the four hex digits; the tests compare ASCII names only *)
-            advance ();
-            advance ();
-            advance ();
-            Buffer.add_char buf '?'
-          | c -> Buffer.add_char buf c);
-          advance ();
-          go ()
-        | '\255' -> raise (Bad "eof in string")
-        | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then (
-          advance ();
-          Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            if peek () = ',' then (
-              advance ();
-              members ((k, v) :: acc))
-            else (
-              expect '}';
-              List.rev ((k, v) :: acc))
-          in
-          Obj (members [])
-      | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then (
-          advance ();
-          Arr [])
-        else
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            if peek () = ',' then (
-              advance ();
-              elements (v :: acc))
-            else (
-              expect ']';
-              List.rev (v :: acc))
-          in
-          Arr (elements [])
-      | '"' -> Str (string_lit ())
-      | 't' ->
-        pos := !pos + 4;
-        Bool true
-      | 'f' ->
-        pos := !pos + 5;
-        Bool false
-      | 'n' ->
-        pos := !pos + 4;
-        Null
-      | _ ->
-        let start = !pos in
-        let num_char c =
-          match c with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        in
-        while num_char (peek ()) do
-          advance ()
-        done;
-        if !pos = start then raise (Bad (Printf.sprintf "junk at %d" start));
-        Num (float_of_string (String.sub s start (!pos - start)))
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing garbage");
-    v
+  (* Missing members raise [Not_found], like [List.assoc]. *)
+  let member k j = match member k j with Some v -> v | None -> raise Not_found
 
-  let member k = function
-    | Obj kvs -> List.assoc k kvs
-    | _ -> raise (Bad ("not an object at " ^ k))
+  let str j =
+    match to_str j with Some s -> s | None -> Alcotest.fail "not a string"
 
-  let str = function Str s -> s | _ -> raise (Bad "not a string")
-
-  let num = function Num f -> f | _ -> raise (Bad "not a number")
+  let num j =
+    match to_num j with Some f -> f | None -> Alcotest.fail "not a number"
 end
 
 (* -- Disabled mode -------------------------------------------------------- *)
@@ -651,6 +530,20 @@ let test_metrics_json_exemplars () =
       (Json.num (Json.member "value" e))
   | _ -> Alcotest.fail "exemplars shape")
 
+(* Exemplar rids are client-supplied (the wire's [trace.rid]), so the JSON
+   export must escape quotes, control bytes and leave UTF-8 intact. *)
+let test_metrics_json_exemplar_rid_escaped () =
+  fresh ();
+  let rid = "a\"b\001\xc3\xa9" in
+  let h = Metrics.histogram ~buckets:[| 1.0 |] "exr.h" in
+  Metrics.observe ~rid h 0.3;
+  let j = Json.parse (Metrics.to_json ()) in
+  match Json.member "exemplars" (Json.member "exr.h" j) with
+  | Json.Arr [ e ] ->
+    Alcotest.(check string) "rid round-trips" rid
+      (Json.str (Json.member "rid" e))
+  | _ -> Alcotest.fail "exemplars shape"
+
 (* A reader racing [reset] against concurrent [observe]s must never see a
    snapshot claiming observations it cannot locate in the buckets: the
    count is derived from the bins, so count = sum(bins) by construction. *)
@@ -1095,6 +988,8 @@ let () =
             test_metrics_exemplars;
           Alcotest.test_case "exemplars in the json snapshot" `Quick
             test_metrics_json_exemplars;
+          Alcotest.test_case "exemplar rid is JSON-escaped" `Quick
+            test_metrics_json_exemplar_rid_escaped;
           Alcotest.test_case "reset/observe race keeps count consistent"
             `Quick test_metrics_reset_observe_race;
         ] );

@@ -278,6 +278,23 @@ let test_proof_tampering_detected () =
   Alcotest.check drup_result_t "incomplete" Drup_check.Incomplete
     (Drup_check.check partial)
 
+let test_proof_unit_on_arrival () =
+  (* Each binary input is unit when it arrives: its first literal (in the
+     checker's sorted order) is already false. The implied literals must be
+     propagated, or the final empty clause is wrongly rejected as not RUP. *)
+  let x n = Lit.of_dimacs n in
+  let steps =
+    [
+      Proof.Input [ x 2 ];
+      Proof.Input [ x (-2); x 8 ];
+      Proof.Input [ x (-4) ];
+      Proof.Input [ x 4; x (-8) ];
+      Proof.Learned [];
+    ]
+  in
+  Alcotest.check drup_result_t "certified" Drup_check.Certified
+    (Drup_check.check steps)
+
 let test_proof_dimacs_output () =
   let p = Proof.create () in
   Proof.input p [ Lit.of_dimacs 1; Lit.of_dimacs (-2) ];
@@ -635,6 +652,8 @@ let () =
           Alcotest.test_case "tampering detected" `Quick
             test_proof_tampering_detected;
           Alcotest.test_case "dimacs output" `Quick test_proof_dimacs_output;
+          Alcotest.test_case "unit input on arrival" `Quick
+            test_proof_unit_on_arrival;
           Alcotest.test_case "deletion honoured" `Quick
             test_proof_deletion_honoured;
           Alcotest.test_case "phantom deletion" `Quick

@@ -143,6 +143,50 @@ let test_protocol_requests () =
   Alcotest.(check bool) "malformed line" true
     (Result.is_error (Protocol.request_of_line "not json"))
 
+(* Every method the CLI, the wire and the fuzzer can name. The match below
+   has no wildcard, so adding a constructor fails to compile until the new
+   method joins the list. *)
+let all_methods =
+  let _exhaustive = function
+    | Decide.Sd | Decide.Eij | Decide.Hybrid_default | Decide.Hybrid_at _
+    | Decide.Svc_baseline | Decide.Lazy_baseline | Decide.Portfolio
+    | Decide.Components ->
+      ()
+  in
+  Decide.
+    [
+      Sd;
+      Eij;
+      Hybrid_default;
+      Hybrid_at 0;
+      Hybrid_at 250;
+      Svc_baseline;
+      Lazy_baseline;
+      Portfolio;
+      Components;
+    ]
+
+let test_method_names () =
+  let pp m = Format.asprintf "%a" Decide.pp_method m in
+  List.iter
+    (fun m ->
+      let wire = Protocol.method_to_wire m in
+      match Decide.method_of_string wire with
+      | Some m' ->
+        Alcotest.(check bool) ("wire name " ^ wire ^ " parses back") true
+          (m' = m);
+        Alcotest.(check string) ("printed name of " ^ wire) (pp m) (pp m')
+      | None -> Alcotest.failf "wire name %S does not parse" wire)
+    all_methods;
+  let wires = List.map Protocol.method_to_wire all_methods in
+  Alcotest.(check int) "wire names distinct" (List.length wires)
+    (List.length (List.sort_uniq compare wires));
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is not a method") true
+        (Decide.method_of_string name = None))
+    [ "cube"; "cube-and-conquer"; "hybrid:"; "hybrid:x"; "" ]
+
 let test_protocol_replies () =
   let replies =
     [
@@ -671,6 +715,49 @@ let test_serve_channels () =
   Sys.remove in_path;
   Sys.remove out_path
 
+(* A solve naming a method the server does not know is answered with a
+   structured error, and the server keeps serving. *)
+let test_serve_unknown_method () =
+  let requests =
+    "{\"op\":\"solve\",\"id\":\"c\",\"formula\":\"(= x x)\",\
+     \"method\":\"cube\"}\n"
+    ^ Protocol.request_to_line (Protocol.Ping "p")
+    ^ "\n"
+    ^ Protocol.request_to_line (Protocol.Shutdown "q")
+    ^ "\n"
+  in
+  let in_path = Filename.temp_file "sufmethod" ".in" in
+  let out_path = Filename.temp_file "sufmethod" ".out" in
+  Out_channel.with_open_text in_path (fun oc ->
+      Out_channel.output_string oc requests);
+  let engine = Engine.create ~workers:1 () in
+  let outcome =
+    In_channel.with_open_text in_path (fun ic ->
+        Out_channel.with_open_text out_path (fun oc ->
+            Server.serve_channels engine ic oc))
+  in
+  Engine.shutdown engine;
+  let replies =
+    In_channel.with_open_text out_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match Protocol.reply_of_line l with
+           | Ok r -> r
+           | Error e -> Alcotest.failf "bad reply line %s: %s" l e)
+  in
+  Sys.remove in_path;
+  Sys.remove out_path;
+  Alcotest.(check bool) "server ran to the shutdown request" true
+    (outcome = `Shutdown);
+  (match replies with
+  | Protocol.Error (_, reason) :: Protocol.Pong "p" :: Protocol.Bye _ :: [] ->
+    Alcotest.(check string) "error reason"
+      "bad request: unknown method \"cube\"" reason
+  | _ ->
+    Alcotest.failf "expected error, pong, bye; got %d replies"
+      (List.length replies))
+
 let test_serve_unix_end_to_end () =
   let path =
     Filename.concat
@@ -1194,6 +1281,8 @@ let () =
         [
           Alcotest.test_case "requests" `Quick test_protocol_requests;
           Alcotest.test_case "replies" `Quick test_protocol_replies;
+          Alcotest.test_case "method names round-trip" `Quick
+            test_method_names;
           Alcotest.test_case "trace context compat and roundtrip" `Quick
             test_protocol_trace_compat;
         ] );
@@ -1223,6 +1312,8 @@ let () =
         [
           Alcotest.test_case "channels" `Quick test_serve_channels;
           Alcotest.test_case "unix socket" `Quick test_serve_unix_end_to_end;
+          Alcotest.test_case "unknown method is an error reply" `Quick
+            test_serve_unknown_method;
         ] );
       ( "telemetry",
         [

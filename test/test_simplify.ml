@@ -125,7 +125,24 @@ let test_assumption_vars_not_eliminated () =
     (Solver.is_eliminated s v.(0));
   (* the assumption held in the model *)
   Alcotest.(check bool) "assumption honoured" true
-    (Solver.value s (Lit.pos v.(0)))
+    (Solver.value s (Lit.pos v.(0)));
+  (* A database already refuted still revives an eliminated assumption
+     variable (here one with no occurrences at all). *)
+  let s = Solver.create () in
+  Solver.set_simplify s true;
+  let v = fresh_vars s 3 in
+  List.iter (Solver.add_clause s)
+    [
+      [ Lit.pos v.(0); Lit.pos v.(1) ];
+      [ Lit.pos v.(0); Lit.neg_of v.(1) ];
+      [ Lit.neg_of v.(0); Lit.pos v.(1) ];
+      [ Lit.neg_of v.(0); Lit.neg_of v.(1) ];
+    ];
+  Alcotest.check result_t "refuted" Solver.Unsat (Solver.solve s);
+  Alcotest.check result_t "still refuted under assumption" Solver.Unsat
+    (Solver.solve ~assumptions:[ Lit.neg_of v.(2) ] s);
+  Alcotest.(check bool) "assumption var revived after refutation" false
+    (Solver.is_eliminated s v.(2))
 
 let test_restore_on_add () =
   let s = Solver.create () in
