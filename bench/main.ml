@@ -173,9 +173,9 @@ let () =
   | Some l -> Obs.set_level l
   | None -> raise (Arg.Bad ("unknown log level: " ^ !log_level)));
   if !trace_path <> "" || !stats || Obs.get_level () <> Obs.Quiet then
-    Obs.enable ();
+    Obs.enable ~capacity:Obs.trace_capacity ()
+  else if !flight then Obs.enable ();
   if !no_simplify then Decide.set_simplify_default false;
-  if !flight then Sepsat_obs.Flight.enable ();
   let ppf = Format.std_formatter in
   let d = !deadline_s in
   Runner.reset_recorded ();
@@ -217,7 +217,7 @@ let () =
     Format.fprintf ppf "wrote trace to %s@." !trace_path
   end;
   if !stats then begin
-    Format.fprintf ppf "%a" Obs.pp_summary (Obs.events ());
+    Format.fprintf ppf "%a" Obs.pp_summary (Obs.records ());
     Format.fprintf ppf "%a" Metrics.pp ()
   end;
   if !strict then begin

@@ -128,7 +128,7 @@ let run iters seed gen timeout simplify parallel no_shrink quiet trace stats
       log_level;
     exit 2);
   if trace <> None || stats || Obs.get_level () <> Obs.Quiet then
-    Obs.enable ();
+    Obs.enable ~capacity:Obs.trace_capacity ();
   let log = if quiet then fun _ -> () else fun s -> Printf.eprintf "%s\n%!" s in
   let vary_simplify =
     match simplify with
@@ -147,7 +147,7 @@ let run iters seed gen timeout simplify parallel no_shrink quiet trace stats
   | Some path -> Chrome_trace.write_current path
   | None -> ());
   if stats then begin
-    Format.printf "%a" Obs.pp_summary (Obs.events ());
+    Format.printf "%a" Obs.pp_summary (Obs.records ());
     Format.printf "%a" Metrics.pp ()
   end;
   exit (if summary.Differential.failures = [] then 0 else 1)

@@ -157,7 +157,7 @@ let log_level_arg =
 let obs_setup trace stats level =
   Obs.set_level level;
   if trace <> None || stats || level <> Obs.Quiet then begin
-    Obs.enable ();
+    Obs.enable ~capacity:Obs.trace_capacity ();
     match level with
     | Obs.Debug -> Progress.install_printer ~every_s:0.25 ()
     | Obs.Info -> Progress.install_printer ()
@@ -170,7 +170,7 @@ let obs_setup trace stats level =
       Obs.log Obs.Info "trace written to %s" path
     | None -> ());
     if stats then begin
-      Format.printf "%a" Obs.pp_summary (Obs.events ());
+      Format.printf "%a" Obs.pp_summary (Obs.records ());
       Format.printf "%a" Metrics.pp ()
     end
 
@@ -519,9 +519,9 @@ let serve_cmd =
       Engine.create ?workers ?flight_dir ~queue_capacity:queue_cap
         ~cache_capacity:cache_cap ~default_timeout_s:default_timeout ()
     in
-    (* The engine turned the flight recorder on; wire up the on-demand
-       dumps: SIGUSR1 for a live server, the crash handler for everything
-       else. *)
+    (* The engine turned the Obs ring (the flight recorder) on; wire up
+       the on-demand dumps: SIGUSR1 for a live server, the crash handler
+       for everything else. *)
     Sepsat_obs.Flight.install_signal_dump ();
     Sepsat_obs.Flight.install_crash_dump ();
     (match socket with
@@ -995,9 +995,7 @@ let top_cmd =
 
 (* -- trace: assemble a cross-process Chrome trace from flight dumps ------- *)
 
-module Flight = Sepsat_obs.Flight
-
-(* Decode one flight-recorder JSON document into an [assemble] source.
+(* Decode one flight-recorder JSON document into an assembly source.
    Dumps predating the wall/mono header pair (or the per-record mono
    stamp) fall back to raw wall time, per the documented compat rule. *)
 let flight_source_of_json ~label j =
@@ -1018,19 +1016,20 @@ let flight_source_of_json ~label j =
             let ts = Option.value ~default:0. (fnum "ts" r) in
             Some
               {
-                Flight.fr_ts = ts;
-                fr_mono = Option.value ~default:ts (fnum "mono" r);
-                fr_tid = Option.value ~default:0 (Sjson.mem_int "tid" r);
-                fr_rid = Option.value ~default:"" (Sjson.mem_str "rid" r);
-                fr_kind =
+                Obs.ts;
+                mono = Option.value ~default:ts (fnum "mono" r);
+                tid = Option.value ~default:0 (Sjson.mem_int "tid" r);
+                rid = Option.value ~default:"" (Sjson.mem_str "rid" r);
+                kind =
                   (match Sjson.mem_str "kind" r with
-                  | Some "span" -> Flight.Span
-                  | Some "log" -> Flight.Log
-                  | Some "progress" -> Flight.Progress
-                  | _ -> Flight.Event);
-                fr_name = Option.value ~default:"" (Sjson.mem_str "name" r);
-                fr_dur_ms = Option.value ~default:0. (fnum "dur_ms" r);
-                fr_data =
+                  | Some "span" -> Obs.Span
+                  | Some "log" -> Obs.Log
+                  | Some "progress" -> Obs.Progress
+                  | Some "sample" -> Obs.Sample
+                  | _ -> Obs.Event);
+                name = Option.value ~default:"" (Sjson.mem_str "name" r);
+                dur = Option.value ~default:0. (fnum "dur_ms" r) /. 1e3;
+                data =
                   (match Sjson.member "data" r with
                   | Some (Sjson.Obj kvs) ->
                     List.filter_map
@@ -1044,11 +1043,12 @@ let flight_source_of_json ~label j =
     | _ -> []
   in
   {
-    Flight.src_label = label;
+    Chrome_trace.src_label = label;
     src_pid = Option.value ~default:0 (Sjson.mem_int "pid" j);
     src_wall = wall;
     src_mono = mono;
     src_records = records;
+    src_threads = [];
   }
 
 let trace_cmd =
@@ -1112,39 +1112,26 @@ let trace_cmd =
         router @ backends
       | _ -> [ flight_source_of_json ~label:"server" doc ]
     in
-    let trace = Flight.assemble ?rid sources in
-    let kept (r : Flight.record) =
-      match rid with None -> true | Some id -> r.Flight.fr_rid = id
+    let kept (r : Obs.record) =
+      match rid with None -> true | Some id -> r.rid = id
     in
-    let total =
-      List.fold_left
-        (fun acc s ->
-          acc + List.length (List.filter kept s.Flight.src_records))
-        0 sources
+    let kept_records =
+      List.concat_map
+        (fun s -> List.filter kept s.Chrome_trace.src_records)
+        sources
     in
+    let total = List.length kept_records in
     let rids =
       List.sort_uniq compare
-        (List.concat_map
-           (fun s ->
-             List.filter_map
-               (fun (r : Flight.record) ->
-                 if kept r && r.Flight.fr_rid <> "" then
-                   Some r.Flight.fr_rid
-                 else None)
-               s.Flight.src_records)
-           sources)
+        (List.filter_map
+           (fun (r : Obs.record) -> if r.rid <> "" then Some r.rid else None)
+           kept_records)
     in
-    if out = "-" then print_endline trace
-    else begin
-      let oc = open_out out in
-      output_string oc trace;
-      output_char oc '\n';
-      close_out oc
-    end;
+    Chrome_trace.write ?rid out sources;
     Format.eprintf "trace: %d lanes (%s), %d records, %d request ids%s%s@."
       (List.length sources)
       (String.concat ", "
-         (List.map (fun s -> s.Flight.src_label) sources))
+         (List.map (fun s -> s.Chrome_trace.src_label) sources))
       total (List.length rids)
       (match rid with
       | Some id -> Printf.sprintf ", filtered to rid %s" id

@@ -77,7 +77,7 @@ let solve_components ?pool ~simplify ?stop ?p_value ~config ~deadline ~certify
   let pool = match pool with Some p -> max 1 p | None -> default_pool () in
   let comps = Array.of_list split.Component.components in
   let n = Array.length comps in
-  if Obs.enabled () then Metrics.add (Lazy.force m_components) n;
+  Metrics.add (Lazy.force m_components) n;
   let printed =
     Array.map (fun c -> Format.asprintf "%a" Ast.pp c.Component.goal) comps
   in

@@ -240,12 +240,10 @@ let encode_core ~mode_of ~eij_budget ~deadline ?p_value ctx ~p_consts formula =
       bool_size = F.size f_bool;
     }
   in
-  if Obs.enabled () then begin
-    Metrics.add (Lazy.force m_trans) stats.trans_constraints;
-    Metrics.add (Lazy.force m_eij_predicates) stats.eij_predicates;
-    Metrics.add (Lazy.force m_sd_classes) stats.sd_classes;
-    Metrics.add (Lazy.force m_eij_classes) stats.eij_classes
-  end;
+  Metrics.add (Lazy.force m_trans) stats.trans_constraints;
+  Metrics.add (Lazy.force m_eij_predicates) stats.eij_predicates;
+  Metrics.add (Lazy.force m_sd_classes) stats.sd_classes;
+  Metrics.add (Lazy.force m_eij_classes) stats.eij_classes;
   let decode assign =
     let bools =
       Hashtbl.fold

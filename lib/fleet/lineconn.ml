@@ -5,7 +5,9 @@
    only what the kernel has ready and bank the rest:
 
    - inbound bytes accumulate in [inbuf] until a '\n' completes a protocol
-     line (partial lines survive across any number of reads);
+     line (partial lines survive across any number of reads); each read
+     scans only its own new bytes, so a long line arriving in pieces costs
+     linear time, and every read reuses the connection's one chunk;
    - outbound lines queue in [outq]; [on_writable] sends as much as the
      socket accepts and remembers the offset into the head chunk, so a
      slow client stalls only its own queue, never the loop.
@@ -17,6 +19,8 @@
 type t = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
+  chunk : Bytes.t;  (* read buffer, reused by every read *)
+  mutable last_nl : int;  (* offset of the last '\n' in inbuf; -1 if none *)
   mutable outq : string list;  (* reversed tail; see enqueue *)
   mutable outhead : string;  (* chunk currently being written *)
   mutable outoff : int;  (* bytes of outhead already written *)
@@ -30,6 +34,8 @@ let create fd =
   {
     fd;
     inbuf = Buffer.create 256;
+    chunk = Bytes.create read_chunk;
+    last_nl = -1;
     outq = [];
     outhead = "";
     outoff = 0;
@@ -41,27 +47,38 @@ let fd t = t.fd
 let wants_write t =
   (not t.closed) && (t.outoff < String.length t.outhead || t.outq <> [])
 
+(* Bank [n] freshly read bytes, noting the last newline among them. *)
+let bank t n =
+  (match Bytes.rindex_from_opt t.chunk (n - 1) '\n' with
+  | Some i -> t.last_nl <- Buffer.length t.inbuf + i
+  | None -> ());
+  Buffer.add_subbytes t.inbuf t.chunk 0 n
+
 (* Split complete lines out of the inbound buffer; the trailing partial
    line (if any) stays buffered. *)
 let take_lines t =
-  let s = Buffer.contents t.inbuf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some last ->
+  if t.last_nl < 0 then []
+  else begin
+    let last = t.last_nl in
+    let lines = Buffer.sub t.inbuf 0 last in
+    let tail =
+      Buffer.sub t.inbuf (last + 1) (Buffer.length t.inbuf - last - 1)
+    in
     Buffer.clear t.inbuf;
-    Buffer.add_substring t.inbuf s (last + 1) (String.length s - last - 1);
-    String.split_on_char '\n' (String.sub s 0 last)
+    Buffer.add_string t.inbuf tail;
+    t.last_nl <- -1;
+    String.split_on_char '\n' lines
     |> List.filter (fun l -> String.trim l <> "")
+  end
 
 let on_readable t =
   if t.closed then `Closed
   else begin
-    let chunk = Bytes.create read_chunk in
     let rec drain () =
-      match Unix.read t.fd chunk 0 read_chunk with
+      match Unix.read t.fd t.chunk 0 read_chunk with
       | 0 -> `Eof
       | n ->
-        Buffer.add_subbytes t.inbuf chunk 0 n;
+        bank t n;
         if n = read_chunk then drain () else `More
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         `More

@@ -1,159 +1,157 @@
 (* trace_event JSON writer. The format reference is the "Trace Event
-   Format" document of the Chromium project; the subset here is B/E
-   duration events, i instants, C counters and M metadata, which both
+   Format" document of the Chromium project; the subset here is X complete
+   events, i instants, C counters and M metadata, which both
    chrome://tracing and Perfetto load. *)
 
-type out = { buf : Buffer.t; mutable first : bool }
+type source = {
+  src_label : string;
+  src_pid : int;
+  src_wall : float;
+  src_mono : float;
+  src_records : Obs.record list;
+  src_threads : (int * string) list;
+}
 
-let emit o fmt =
-  if o.first then o.first <- false else Buffer.add_string o.buf ",\n  ";
-  Printf.ksprintf (Buffer.add_string o.buf) fmt
+let local () =
+  let wall, mono = Clock.pair () in
+  {
+    src_label = "sepsat";
+    src_pid = Unix.getpid ();
+    src_wall = wall;
+    src_mono = mono;
+    src_records = Obs.records ();
+    src_threads = Obs.thread_names ();
+  }
 
-(* Span begin/end replay for one tid. Spans are sorted so parents precede
-   their children ([ts] ascending, duration descending breaks the tie);
-   walking with a stack then closes every span that cannot contain the next
-   one before opening it. Per-domain monotone capture in [Obs] makes real
-   traces perfectly nested; for defensive completeness, a span that
-   partially overlaps the stack top is clipped by closing the top first, so
-   B/E events always stay matched and ordered. *)
-let emit_spans o ~tid spans =
-  let spans =
-    List.stable_sort
-      (fun (_, _, _, ts1, d1) (_, _, _, ts2, d2) ->
-        match Float.compare ts1 ts2 with
-        | 0 -> Float.compare d2 d1
-        | c -> c)
-      spans
-  in
-  (* The rid rides in [args] so Perfetto's query/filter UI can isolate one
-     request's spans across every lane. *)
-  let rid_args rid =
-    if rid = "" then ""
-    else Printf.sprintf ", \"args\": {\"rid\": %s}" (Json_string.quote rid)
-  in
-  let emit_b (name, cat, rid, ts, _) =
-    emit o
-      "{\"name\": %s, \"cat\": %s, \"ph\": \"B\", \"pid\": 0, \
-       \"tid\": %d, \"ts\": %.3f%s}"
-      (Json_string.quote name)
-      (Json_string.quote (if cat = "" then "sepsat" else cat))
-      tid ts (rid_args rid)
-  in
-  let emit_e ~at (name, _, _, _, _) =
-    emit o
-      "{\"name\": %s, \"ph\": \"E\", \"pid\": 0, \"tid\": %d, \"ts\": \
-       %.3f}"
-      (Json_string.quote name) tid at
-  in
-  let ends (_, _, _, ts, d) = ts +. d in
-  let contains p c = ends c <= ends p in
-  let stack = ref [] in
-  List.iter
-    (fun ((_, _, _, ts, _) as s) ->
-      (* Close every stacked span that cannot contain [s] before opening it,
-         clamping close times to be non-decreasing. *)
-      let rec close_until last =
-        match !stack with
-        | top :: rest when not (contains top s) ->
-          (* Usually [ends top <= ts] (disjoint siblings); a partial overlap
-             (impossible under monotone capture, possible after ring drops)
-             is clipped at the new begin so timestamps never decrease. *)
-          let at = Float.max last (Float.min (ends top) ts) in
-          emit_e ~at top;
-          stack := rest;
-          close_until at
-        | _ -> ()
-      in
-      close_until neg_infinity;
-      emit_b s;
-      stack := s :: !stack)
-    spans;
-  let rec drain last =
-    match !stack with
-    | [] -> ()
-    | top :: rest ->
-      let at = Float.max (ends top) last in
-      emit_e ~at top;
-      stack := rest;
-      drain at
-  in
-  drain neg_infinity
+let start (r : Obs.record) = r.mono -. r.dur
 
-let to_buffer buf evs =
-  let o = { buf; first = true } in
-  let t0 =
-    List.fold_left (fun acc e -> Float.min acc (Obs.event_ts e)) infinity evs
+(* Counter series of a sample or progress record: its numeric payload. *)
+let counters (r : Obs.record) =
+  List.filter_map
+    (fun (k, v) ->
+      match float_of_string_opt v with
+      | Some f when Float.is_finite f -> Some (k, f)
+      | _ -> None)
+    r.data
+
+(* Timeline. A source's (wall, mono) anchor pins its mono clock to the
+   wall timeline, so a record's absolute start is
+
+     start + (src_wall - src_mono)
+
+   which only ever subtracts mono readings of the *same* process — immune
+   to wall-clock skew between router and shards. The origin is the
+   earliest absolute start. Within a source, times are mapped as
+   [(x - first) + shift] with [first] the source's earliest start: a
+   monotone function of the mono reading, so spans that nest on the mono
+   clock still nest after the mapping. *)
+let assemble ?rid sources =
+  let keep (r : Obs.record) =
+    match rid with None -> true | Some id -> r.rid = id
   in
-  let t0 = if Float.is_finite t0 then t0 else 0. in
-  let us t = (t -. t0) *. 1e6 in
-  Buffer.add_string buf "{\"traceEvents\": [\n  ";
-  emit o
-    "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \
-     \"args\": {\"name\": \"sepsat\"}}";
-  List.iter
-    (fun (tid, name) ->
-      emit o
-        "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": %d, \
-         \"args\": {\"name\": %s}}"
-        tid (Json_string.quote name))
-    (Obs.thread_names ());
-  (* Group spans per tid so each lane's B/E stream nests independently. *)
-  let by_tid :
-      (int, (string * string * string * float * float) list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  List.iter
-    (function
-      | Obs.Span { name; cat; ts; dur; tid; rid } ->
-        let r =
-          match Hashtbl.find_opt by_tid tid with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.add by_tid tid r;
-            r
+  let sources =
+    List.mapi
+      (fun pid s ->
+        let recs = List.filter keep s.src_records in
+        let first =
+          List.fold_left (fun acc r -> Float.min acc (start r)) infinity recs
         in
-        r := (name, cat, rid, us ts, dur *. 1e6) :: !r
-      | Obs.Instant { name; cat; ts; tid; rid } ->
-        emit o
-          "{\"name\": %s, \"cat\": %s, \"ph\": \"i\", \"s\": \"t\", \
-           \"pid\": 0, \"tid\": %d, \"ts\": %.3f%s}"
-          (Json_string.quote name)
-          (Json_string.quote (if cat = "" then "sepsat" else cat))
-          tid (us ts)
-          (if rid = "" then ""
-           else
-             Printf.sprintf ", \"args\": {\"rid\": %s}"
-               (Json_string.quote rid))
-      | Obs.Sample { name; ts; value; tid } ->
-        emit o
-          "{\"name\": %s, \"ph\": \"C\", \"pid\": 0, \"tid\": %d, \"ts\": \
-           %.3f, \"args\": {\"value\": %.6g}}"
-          (Json_string.quote name) tid (us ts) value)
-    evs;
-  let tids =
-    Hashtbl.fold (fun tid _ acc -> tid :: acc) by_tid [] |> List.sort compare
+        (pid, s, recs, first, first +. (s.src_wall -. s.src_mono)))
+      sources
+  in
+  let origin =
+    List.fold_left
+      (fun acc (_, _, recs, _, abs_first) ->
+        if recs = [] then acc else Float.min acc abs_first)
+      infinity sources
+  in
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf "{\"traceEvents\": [";
+  let first_event = ref true in
+  let emit fmt =
+    if !first_event then first_event := false
+    else Buffer.add_string buf ",\n  ";
+    Printf.bprintf buf fmt
+  in
+  let q = Json_string.quote in
+  List.iter
+    (fun (pid, s, _, _, _) ->
+      emit
+        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %d, \"tid\": \
+         0, \"args\": {\"name\": %s}}"
+        pid (q s.src_label);
+      List.iter
+        (fun (tid, name) ->
+          emit
+            "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %d, \
+             \"tid\": %d, \"args\": {\"name\": %s}}"
+            pid tid (q name))
+        s.src_threads)
+    sources;
+  (* Tag each record with its lane and mapped start, then sort by start so
+     the event stream reads in causal order. *)
+  let events =
+    List.concat_map
+      (fun (pid, _, recs, first, abs_first) ->
+        let shift = abs_first -. origin in
+        let us x = (x -. first +. shift) *. 1e6 in
+        List.map (fun r -> (us (start r), us r.Obs.mono, pid, r)) recs)
+      sources
+    |> List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> Float.compare a b)
+  in
+  let args (r : Obs.record) =
+    let b = Buffer.create 64 in
+    Buffer.add_char b '{';
+    if r.rid <> "" then Printf.bprintf b "\"rid\": %s" (q r.rid);
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 || r.rid <> "" then Buffer.add_string b ", ";
+        Printf.bprintf b "%s: %s" (q ("data." ^ k)) (q v))
+      r.data;
+    Buffer.add_char b '}';
+    Buffer.contents b
   in
   List.iter
-    (fun tid ->
-      match Hashtbl.find_opt by_tid tid with
-      | Some spans -> emit_spans o ~tid (List.rev !spans)
-      | None -> ())
-    tids;
-  Buffer.add_string buf "\n], \"displayTimeUnit\": \"ms\"}\n"
-
-let to_string evs =
-  let buf = Buffer.create 65536 in
-  to_buffer buf evs;
+    (fun (t0, t1, pid, (r : Obs.record)) ->
+      let cat =
+        match List.assoc_opt "cat" r.data with
+        | Some c -> c
+        | None -> Obs.kind_name r.kind
+      in
+      match r.kind with
+      | Span ->
+        emit
+          "{\"name\": %s, \"cat\": %s, \"ph\": \"X\", \"pid\": %d, \"tid\": \
+           %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": %s}"
+          (q r.name) (q cat) pid r.tid t0 (t1 -. t0) (args r)
+      | Event | Log ->
+        emit
+          "{\"name\": %s, \"cat\": %s, \"ph\": \"i\", \"s\": \"t\", \"pid\": \
+           %d, \"tid\": %d, \"ts\": %.3f, \"args\": %s}"
+          (q r.name) (q cat) pid r.tid t1 (args r)
+      | Sample | Progress ->
+        emit
+          "{\"name\": %s, \"ph\": \"C\", \"pid\": %d, \"tid\": %d, \"ts\": \
+           %.3f, \"args\": {%s}}"
+          (q r.name) pid r.tid t1
+          (String.concat ", "
+             (List.map
+                (fun (k, f) -> q k ^ ": " ^ Json_string.number f)
+                (counters r))))
+    events;
+  Buffer.add_string buf "], \"displayTimeUnit\": \"ms\"}";
   Buffer.contents buf
 
-let write_file path evs =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      to_buffer buf evs;
-      Buffer.output_buffer oc buf)
+let write ?rid path sources =
+  let doc = assemble ?rid sources in
+  if path = "-" then print_endline doc
+  else begin
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc doc;
+        output_char oc '\n')
+  end
 
-let write_current path = write_file path (Obs.events ())
+let write_current path = write path [ local () ]

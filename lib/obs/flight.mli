@@ -1,87 +1,22 @@
-(** Always-on flight recorder: bounded per-domain rings of recent span
-    completions, log lines and solver-progress snapshots, dumpable as JSON
-    at any moment — on SIGUSR1, on crash, on per-request deadline expiry,
-    or through the serve protocol's [dump] op. Post-hoc debugging of a
-    wedged server without tracing pre-enabled.
+(** Flight recorder: the post-mortem side of the {!Obs} ring.
 
-    Recording follows {!Obs}'s ring discipline (domain-owned rings via
-    DLS, registration under one mutex) and stores each record with a
-    single pointer write of an immutable block, so concurrent dumps never
-    observe a torn record. A disabled {!record} costs one atomic load and
-    a branch. *)
-
-type kind = Span | Log | Progress | Event
-
-type record = {
-  fr_ts : float;  (** completion wall-clock time *)
-  fr_mono : float;  (** the same instant on this process's {!Clock.mono_now} *)
-  fr_tid : int;  (** recording domain id *)
-  fr_rid : string;  (** request id; [""] outside any request *)
-  fr_kind : kind;
-  fr_name : string;
-  fr_dur_ms : float;  (** span duration in ms; [0.] for point records *)
-  fr_data : (string * string) list;  (** extra key/value payload *)
-}
-
-val enabled : unit -> bool
-
-val enable : ?capacity:int -> unit -> unit
-(** Start recording. [capacity] is the per-domain ring size in records
-    (default 4096); on overflow the oldest records are overwritten and
-    counted in {!dropped}. The serve engine enables this at startup. *)
-
-val disable : unit -> unit
-
-val reset : unit -> unit
-(** Drop every recorded ring. The enabled flag is unchanged. *)
-
-val record :
-  ?rid:string ->
-  ?dur_ms:float ->
-  ?data:(string * string) list ->
-  kind ->
-  string ->
-  unit
-(** [record kind name] appends one record to the calling domain's ring.
-    [rid] defaults to the ambient {!Trace_ctx.rid}. No-op (one atomic
-    load) when disabled. *)
-
-val records : unit -> record list
-(** Every live record across all domains, sorted by timestamp. Safe to
-    call while writers are recording; records written concurrently with
-    the call may be missed or appear out of ring order, never torn. *)
-
-val dropped : unit -> int
-(** Records lost to ring overwrite since the last {!reset}. *)
+    Servers keep {!Obs} enabled at its default capacity, so the ring
+    always holds each domain's recent span completions, log lines and
+    solver-progress snapshots. This module dumps that ring as JSON at any
+    moment — on SIGUSR1, on crash, on per-request deadline expiry, or
+    through the serve protocol's [dump] op — for debugging a wedged or
+    slow server after the fact, without tracing pre-enabled. Dumps read
+    the live ring; {!Obs}'s single-pointer-write discipline makes that
+    safe while workers keep recording. *)
 
 val to_json : unit -> string
-(** The full recorder state as one JSON document
+(** The ring as one JSON document
     [{"schema": "sepsat-flight-1", "pid", "dumped_at", "wall", "mono",
-    "dropped", "records": [...]}]. [wall] and [mono] are one
-    {!Clock.pair} sampled at dump time — the anchor {!assemble} uses to
-    align this process's records with other processes' dumps. *)
-
-(** {1 Cross-process assembly} *)
-
-type source = {
-  src_label : string;  (** Chrome lane (process) name, e.g. ["router"] *)
-  src_pid : int;  (** the dumping process's OS pid (informational) *)
-  src_wall : float;  (** dump-header [wall] *)
-  src_mono : float;  (** dump-header [mono], paired with [src_wall] *)
-  src_records : record list;
-}
-(** One process's flight dump, decoded. For dumps predating the header
-    pair, set [src_mono = src_wall] and each record's [fr_mono = fr_ts]
-    — alignment degrades to raw wall time, exactly the old behaviour. *)
-
-val assemble : ?rid:string -> source list -> string
-(** Merge many processes' flight records into one Chrome trace document
-    (catapult JSON, one [pid] lane per source, named by [src_label]).
-    Spans become ["X"] complete events; point records become instants.
-    Record times are aligned onto one timeline via each source's
-    wall/mono anchor pair, so only same-process mono differences are
-    ever taken — correct even when the processes' wall clocks disagree.
-    [rid] keeps only records of that request. *)
+    "dropped", "records": [...]}]; each record is
+    [{"ts", "mono", "tid", "kind", "name", "rid"?, "dur_ms"?, "data"?}].
+    [wall] and [mono] are one {!Clock.pair} sampled at dump time — the
+    anchor {!Chrome_trace.assemble} uses to align this process's records
+    with other processes' dumps. *)
 
 val write : string -> unit
 (** Write {!to_json} (plus a trailing newline) to a file. *)

@@ -20,3 +20,15 @@ let quote s =
   let buf = Buffer.create (String.length s + 8) in
   add buf s;
   Buffer.contents buf
+
+(* Numbers must survive a print/parse round trip exactly: the trace clock
+   anchors are epoch-seconds absolutes whose *differences* carry the
+   signal, so truncating them to 12 significant digits (tens of
+   microseconds at 1.8e9 s) corrupts sub-millisecond arithmetic
+   downstream. Most numbers still print compactly. *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f

@@ -75,11 +75,7 @@ let add_value buf = function
   | S s -> Json_string.add buf s
   | I i -> Buffer.add_string buf (string_of_int i)
   | B b -> Buffer.add_string buf (if b then "true" else "false")
-  | F f ->
-    if not (Float.is_finite f) then Buffer.add_string buf "null"
-    else if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else Buffer.add_string buf (Printf.sprintf "%.9g" f)
+  | F f -> Buffer.add_string buf (Json_string.number f)
 
 let add_field buf (k, v) =
   Buffer.add_string buf ", ";
@@ -92,9 +88,9 @@ let level_name = function
   | Obs.Info -> "info"
   | Obs.Debug -> "debug"
 
-(* The rid the flight recorder should file a log record under: an explicit
-   "rid" field wins, then the ambient log context; otherwise Flight falls
-   back to Trace_ctx. *)
+(* The rid a log record is filed under: an explicit "rid" field wins, then
+   the ambient log context; otherwise [Obs.record] falls back to
+   Trace_ctx. *)
 let field_rid fields =
   let pick fs =
     match List.assoc_opt "rid" fs with Some (S r) -> Some r | _ -> None
@@ -107,22 +103,22 @@ let value_string = function
   | S s -> s
   | I i -> string_of_int i
   | B b -> string_of_bool b
-  | F f -> Printf.sprintf "%.9g" f
+  | F f -> Json_string.number f
 
 let event ?(level = Obs.Info) name fields =
-  (* Emitted lines also land in the flight recorder (when that is on) even
-     if the log sink itself is disabled — a server run without --log-json
-     still has its recent request history in a flight dump. *)
+  (* Emitted lines also land in the Obs ring (when that is on) even if the
+     log sink itself is disabled — a server run without --log-json still
+     has its recent request history in a flight dump. *)
   let to_sink =
     Atomic.get enabled_ && level <> Obs.Quiet
     && rank level <= rank (Atomic.get level_)
   in
-  let to_flight = Flight.enabled () && level <> Obs.Quiet in
-  if to_sink || to_flight then begin
-    if to_flight then
-      Flight.record ?rid:(field_rid fields)
+  let to_ring = Obs.enabled () && level <> Obs.Quiet in
+  if to_sink || to_ring then begin
+    if to_ring then
+      Obs.record ?rid:(field_rid fields)
         ~data:(List.map (fun (k, v) -> (k, value_string v)) fields)
-        Flight.Log name;
+        Obs.Log name;
     if to_sink then begin
       let buf = Domain.DLS.get buf_key in
       Buffer.clear buf;

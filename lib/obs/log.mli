@@ -13,7 +13,8 @@
     {!event} costs one atomic load and a branch. *)
 
 type value = S of string | I of int | F of float | B of bool
-(** Field values. Non-finite floats render as [null] (strict JSON). *)
+(** Field values. Floats print with {!Json_string.number}: exact round
+    trip, non-finite as [null] (strict JSON). *)
 
 type field = string * value
 
@@ -34,8 +35,8 @@ val event : ?level:Obs.level -> string -> field list -> unit
     [{"ts":…, "level":…, "event":name, …fields, …ambient}]. Ambient
     context fields (see {!with_fields}) are appended unless shadowed by an
     explicit field of the same key. [~level:Quiet] events are never
-    emitted. When the {!Flight} recorder is on, every non-Quiet event is
-    also recorded there (regardless of {!enabled} and the level
+    emitted. When {!Obs} is enabled, every non-Quiet event is also
+    recorded in its ring (regardless of {!enabled} and the level
     threshold), filed under the explicit or ambient ["rid"] field. *)
 
 val with_fields : field list -> (unit -> 'a) -> 'a

@@ -179,18 +179,12 @@ let snapshot () =
    as null, and the histogram's +inf bucket is simply omitted — it is
    implicit, [count - sum(finite bins)] — the same convention Prometheus
    uses with its mandatory `_count` series. *)
-let json_float f =
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
 let to_json () =
   let entry (name, v) =
     let body =
       match v with
       | Counter n -> string_of_int n
-      | Gauge f -> json_float f
+      | Gauge f -> Json_string.number f
       | Histogram { count; sum; buckets; exemplars } ->
         let exemplars_json =
           if exemplars = [] then ""
@@ -202,17 +196,17 @@ let to_json () =
                       Printf.sprintf
                         "{\"le\": %s, \"rid\": %s, \"value\": %s, \"ts\": \
                          %.6f}"
-                        (json_float ub) (Json_string.quote e.ex_rid)
-                        (json_float e.ex_value) e.ex_ts)
+                        (Json_string.number ub) (Json_string.quote e.ex_rid)
+                        (Json_string.number e.ex_value) e.ex_ts)
                     exemplars))
         in
         Printf.sprintf "{\"count\": %d, \"sum\": %s, \"buckets\": [%s]%s}" count
-          (json_float sum)
+          (Json_string.number sum)
           (String.concat ", "
              (List.filter_map
                 (fun (ub, n) ->
                   if Float.is_finite ub then
-                    Some (Printf.sprintf "[%s, %d]" (json_float ub) n)
+                    Some (Printf.sprintf "[%s, %d]" (Json_string.number ub) n)
                   else None)
                 buckets))
           exemplars_json

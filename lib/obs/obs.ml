@@ -1,50 +1,59 @@
-(* Off-by-default tracing with per-domain ring buffers.
+(* Off-by-default recording into per-domain rings of immutable records.
 
    Hot-path discipline: every public emission function first loads one
    atomic ([enabled_]) and returns when unset — instrumented code pays a
    load and a branch, nothing else. When enabled, the emitting domain owns
-   its ring buffer (reached through domain-local storage), so pushes are
-   plain mutations with no synchronization; only ring *registration* (once
-   per domain per generation) takes the global mutex. Readers merge the
-   rings after the writers have quiesced. *)
+   its ring (reached through domain-local storage), so a push is a plain
+   array store with no synchronization; only ring *registration* (once
+   per domain per generation) takes the global mutex.
 
-type event =
-  | Span of {
-      name : string;
-      cat : string;
-      ts : float;
-      dur : float;
-      tid : int;
-      rid : string;  (* ambient request id at capture; "" outside requests *)
-    }
-  | Instant of {
-      name : string;
-      cat : string;
-      ts : float;
-      tid : int;
-      rid : string;
-    }
-  | Sample of { name : string; ts : float; value : float; tid : int }
+   Concurrency contract for readers. A record is an immutable block stored
+   through a single pointer write, so a reader that races a writer sees
+   either the old record or the new one, never a torn mix — this is what
+   makes dumping a *live* server safe, and what test/test_flight.ml's
+   qcheck battery checks. The [count] field may lag the slots during a
+   race; readers only use it to order and bound the scan, so the worst
+   case is a dump missing the very newest records. *)
 
-let event_ts = function
-  | Span { ts; _ } | Instant { ts; _ } | Sample { ts; _ } -> ts
+type kind = Span | Event | Log | Progress | Sample
 
-let event_tid = function
-  | Span { tid; _ } | Instant { tid; _ } | Sample { tid; _ } -> tid
+let kind_name = function
+  | Span -> "span"
+  | Event -> "event"
+  | Log -> "log"
+  | Progress -> "progress"
+  | Sample -> "sample"
 
-let dummy_event = Instant { name = ""; cat = ""; ts = 0.; tid = 0; rid = "" }
+type record = {
+  ts : float;
+  mono : float;
+  tid : int;
+  rid : string;  (* ambient request id at capture; "" outside requests *)
+  kind : kind;
+  name : string;
+  dur : float;
+  data : (string * string) list;
+}
+
+(* Marks a never-written slot; compared physically. *)
+let empty =
+  { ts = 0.; mono = 0.; tid = 0; rid = ""; kind = Event; name = ""; dur = 0.;
+    data = [] }
 
 type ring = {
   r_tid : int;
   r_gen : int;
-  data : event array;
+  slots : record array;
   mutable count : int;  (* total pushes; the ring holds the last [cap] *)
-  mutable last : float;  (* monotone clamp for this domain's captures *)
 }
+
+let default_capacity = 4096
+
+let trace_capacity = 65536
 
 let enabled_ = Atomic.make false
 
-let capacity_ = Atomic.make 65536
+let capacity_ = Atomic.make default_capacity
 
 let generation = Atomic.make 0
 
@@ -63,9 +72,8 @@ let fresh_ring () =
     {
       r_tid = (Domain.self () :> int);
       r_gen = Atomic.get generation;
-      data = Array.make (max 16 (Atomic.get capacity_)) dummy_event;
+      slots = Array.make (max 16 (Atomic.get capacity_)) empty;
       count = 0;
-      last = 0.;
     }
   in
   Mutex.protect registry_mu (fun () -> registry := r :: !registry);
@@ -84,20 +92,7 @@ let ring () =
     r
   end
 
-(* Wall clock filtered to be non-decreasing per domain, so capture order is
-   timestamp order even across system clock steps — the invariant that makes
-   span sets well-nested by construction. *)
-let mono_now r =
-  let t = Unix.gettimeofday () in
-  if t > r.last then r.last <- t;
-  r.last
-
-let push r e =
-  let cap = Array.length r.data in
-  r.data.(r.count mod cap) <- e;
-  r.count <- r.count + 1
-
-let enable ?(capacity = 65536) () =
+let enable ?(capacity = default_capacity) () =
   Atomic.set capacity_ capacity;
   Atomic.set enabled_ true
 
@@ -133,67 +128,41 @@ let log lvl fmt =
 
 (* -- Emission ------------------------------------------------------------ *)
 
-(* Spans feed two collectors: the full-fidelity trace ring when tracing is
-   enabled, and the bounded flight recorder when that is enabled (servers
-   keep it always-on). Both share the Trace_ctx span path, so a flight
-   record knows where in the request tree it completed. Idle cost with both
-   collectors off is two atomic loads and a branch. *)
+let push ~wall ~mono ~rid ~dur ~data kind name =
+  let r = ring () in
+  r.slots.(r.count mod Array.length r.slots) <-
+    { ts = wall; mono; tid = r.r_tid; rid; kind; name; dur; data };
+  r.count <- r.count + 1
 
-let flight_span ~rid ~cat name dur =
-  if Flight.enabled () then begin
-    let path = Trace_ctx.path_string () in
-    let data = if cat = "" then [] else [ ("cat", cat) ] in
-    let data = if path = "" || path = name then data else ("path", path) :: data in
-    Flight.record ~rid ~dur_ms:(dur *. 1000.) ~data Flight.Span name
+let record ?rid ?(dur = 0.) ?(data = []) kind name =
+  if Atomic.get enabled_ then begin
+    let rid = match rid with Some r -> r | None -> Trace_ctx.rid () in
+    let wall, mono = Clock.pair () in
+    push ~wall ~mono ~rid ~dur ~data kind name
   end
 
-let span ?(cat = "") name f =
-  let obs_on = Atomic.get enabled_ in
-  if not (obs_on || Flight.enabled ()) then f ()
-  else begin
-    let rid = Trace_ctx.rid () in
-    Trace_ctx.push name;
-    let t0 = if obs_on then mono_now (ring ()) else Unix.gettimeofday () in
-    let finish () =
-      (* Re-fetch: a reset during [f] swapped the ring underneath us. *)
-      let t1 = if obs_on then mono_now (ring ()) else Unix.gettimeofday () in
-      let dur = Float.max 0. (t1 -. t0) in
-      if obs_on then begin
-        let r = ring () in
-        push r (Span { name; cat; ts = t0; dur; tid = r.r_tid; rid })
-      end;
-      flight_span ~rid ~cat name dur;
-      Trace_ctx.pop ()
-    in
-    match f () with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
-
+(* The one span body. The duration is a difference of two readings of the
+   process-monotone clock, so it is never negative, and the span's start
+   is recovered exactly as [mono -. dur] (both readings are close enough
+   for the subtraction to be exact). *)
 let timed ?(cat = "") name f =
-  let obs_on = Atomic.get enabled_ in
-  if not (obs_on || Flight.enabled ()) then begin
-    let t0 = Unix.gettimeofday () in
+  if not (Atomic.get enabled_) then begin
+    let t0 = Clock.mono_now () in
     let v = f () in
-    (v, Float.max 0. (Unix.gettimeofday () -. t0))
+    (v, Clock.mono_now () -. t0)
   end
   else begin
     let rid = Trace_ctx.rid () in
     Trace_ctx.push name;
-    let t0 = if obs_on then mono_now (ring ()) else Unix.gettimeofday () in
+    let t0 = Clock.mono_now () in
     let finish () =
-      let t1 = if obs_on then mono_now (ring ()) else Unix.gettimeofday () in
-      let dur = Float.max 0. (t1 -. t0) in
-      if obs_on then begin
-        let r = ring () in
-        push r (Span { name; cat; ts = t0; dur; tid = r.r_tid; rid })
-      end;
-      flight_span ~rid ~cat name dur;
+      let path = Trace_ctx.path_string () in
       Trace_ctx.pop ();
+      let wall, mono = Clock.pair () in
+      let dur = mono -. t0 in
+      let data = if cat = "" then [] else [ ("cat", cat) ] in
+      let data = if path = name then data else ("path", path) :: data in
+      push ~wall ~mono ~rid ~dur ~data Span name;
       dur
     in
     match f () with
@@ -203,31 +172,22 @@ let timed ?(cat = "") name f =
       raise e
   end
 
+let span ?cat name f =
+  if Atomic.get enabled_ then fst (timed ?cat name f) else f ()
+
 let instant ?(cat = "") name =
-  let obs_on = Atomic.get enabled_ in
-  if obs_on || Flight.enabled () then begin
-    let rid = Trace_ctx.rid () in
-    if obs_on then begin
-      let r = ring () in
-      push r (Instant { name; cat; ts = mono_now r; tid = r.r_tid; rid })
-    end;
-    if Flight.enabled () then
-      Flight.record ~rid
-        ~data:(if cat = "" then [] else [ ("cat", cat) ])
-        Flight.Event name
-  end
+  if Atomic.get enabled_ then
+    record ~data:(if cat = "" then [] else [ ("cat", cat) ]) Event name
 
 let sample name value =
-  if Atomic.get enabled_ then begin
-    let r = ring () in
-    push r (Sample { name; ts = mono_now r; value; tid = r.r_tid })
-  end
+  if Atomic.get enabled_ then
+    record ~data:[ ("value", Json_string.number value) ] Sample name
 
 (* -- Thread naming ------------------------------------------------------- *)
 
 (* Unconditional (no [enabled_] gate): lane names are consumed by the
-   flight recorder, the engine's live lane table and exported traces alike,
-   and pools name their workers once per spawn — off the hot path. *)
+   engine's live lane table and exported traces alike, and pools name
+   their workers once per spawn — off the hot path. *)
 let name_thread name =
   let tid = (Domain.self () :> int) in
   Mutex.protect names_mu (fun () ->
@@ -238,24 +198,27 @@ let thread_names () =
 
 (* -- Collection ---------------------------------------------------------- *)
 
-let ring_events r =
-  let cap = Array.length r.data in
-  let n = min r.count cap in
-  let first = if r.count <= cap then 0 else r.count mod cap in
-  List.init n (fun i -> r.data.((first + i) mod cap))
+(* Oldest first. Under a racing writer a slot may already hold a newer
+   record than [count] says; it is still a whole record. *)
+let ring_records r =
+  let cap = Array.length r.slots in
+  let c = r.count in
+  let n = min c cap in
+  List.init n (fun i -> r.slots.((c - n + i) mod cap))
+  |> List.filter (fun x -> x != empty)
 
-let events () =
+let records () =
   let rings = Mutex.protect registry_mu (fun () -> !registry) in
-  List.concat_map ring_events rings
+  List.concat_map ring_records rings
   |> List.stable_sort (fun a b ->
-         match Float.compare (event_ts a) (event_ts b) with
-         | 0 -> compare (event_tid a) (event_tid b)
+         match Float.compare a.mono b.mono with
+         | 0 -> compare a.tid b.tid
          | c -> c)
 
 let dropped () =
   let rings = Mutex.protect registry_mu (fun () -> !registry) in
   List.fold_left
-    (fun acc r -> acc + max 0 (r.count - Array.length r.data))
+    (fun acc r -> acc + max 0 (r.count - Array.length r.slots))
     0 rings
 
 (* -- Span rollup --------------------------------------------------------- *)
@@ -267,30 +230,31 @@ type span_stat = {
   ss_max : float;
 }
 
-let span_summary evs =
+let span_summary recs =
   let tbl : (string, span_stat ref) Hashtbl.t = Hashtbl.create 32 in
   List.iter
-    (function
-      | Span { name; dur; _ } -> (
-        match Hashtbl.find_opt tbl name with
+    (fun r ->
+      if r.kind = Span then
+        match Hashtbl.find_opt tbl r.name with
         | Some s ->
           s :=
             {
               !s with
               ss_count = !s.ss_count + 1;
-              ss_total = !s.ss_total +. dur;
-              ss_max = Float.max !s.ss_max dur;
+              ss_total = !s.ss_total +. r.dur;
+              ss_max = Float.max !s.ss_max r.dur;
             }
         | None ->
-          Hashtbl.add tbl name
-            (ref { ss_name = name; ss_count = 1; ss_total = dur; ss_max = dur }))
-      | Instant _ | Sample _ -> ())
-    evs;
+          Hashtbl.add tbl r.name
+            (ref
+               { ss_name = r.name; ss_count = 1; ss_total = r.dur;
+                 ss_max = r.dur }))
+    recs;
   Hashtbl.fold (fun _ s acc -> !s :: acc) tbl []
   |> List.sort (fun a b -> Float.compare b.ss_total a.ss_total)
 
-let pp_summary ppf evs =
-  let stats = span_summary evs in
+let pp_summary ppf recs =
+  let stats = span_summary recs in
   Format.fprintf ppf "%-24s %8s %12s %12s %12s@." "span" "count" "total(s)"
     "mean(s)" "max(s)";
   List.iter

@@ -3,9 +3,10 @@
     The solver calls {!tick} from its existing budget/deadline polling point
     (every 1024 conflicts), so enabling progress reporting adds no new
     branches to propagation. Each tick builds a {!snapshot}, forwards it to
-    the installed callback, and emits [sat.conflicts] / [sat.learnts]
-    counter-track samples into the {!Obs} event stream so mid-solve progress
-    is visible on the exported timeline.
+    the installed callback, and records one [sat.progress] record
+    (conflicts, learnts, trail, rate, elapsed) in the {!Obs} ring, which
+    {!Chrome_trace} draws as counter tracks, so mid-solve progress is
+    visible on the exported timeline and in flight dumps.
 
     Everything is domain-safe: the callback cell is an atomic, and the
     rate/printer state is domain-local, so the portfolio's racing solvers
@@ -39,8 +40,8 @@ val tick :
   level:int ->
   started:float ->
   unit
-(** No-op unless some consumer is live: {!Obs.enabled}, {!Flight.enabled}
-    or an installed callback. [started] is the [Unix.gettimeofday] at the
+(** No-op unless some consumer is live: {!Obs.enabled} or an installed
+    callback. [started] is the [Unix.gettimeofday] at the
     start of the enclosing [solve] call. *)
 
 val install_printer : ?every_s:float -> unit -> unit

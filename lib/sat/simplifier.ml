@@ -20,7 +20,6 @@
    surviving clauses. *)
 
 module Deadline = Sepsat_util.Deadline
-module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
 
 let subsumption_occ_limit = 500
@@ -470,7 +469,6 @@ let publish (s : Db.t) before_subsumed before_str before_elim before_blocked
 let simplify (s : Db.t) ~deadline ~max_rounds =
   if s.Db.ok && Db.decision_level s = 0 then begin
     let started = Deadline.wall_now () in
-    let obs = Obs.enabled () in
     let b_sub = s.Db.n_subsumed
     and b_str = s.Db.n_strengthened
     and b_elim = s.Db.n_elim_vars
@@ -494,7 +492,6 @@ let simplify (s : Db.t) ~deadline ~max_rounds =
       Db.maybe_gc s
     end;
     s.Db.dirty <- 0;
-    if obs then
-      publish s b_sub b_str b_elim b_blk b_res !rounds
-        (Deadline.wall_now () -. started)
+    publish s b_sub b_str b_elim b_blk b_res !rounds
+      (Deadline.wall_now () -. started)
   end

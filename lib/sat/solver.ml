@@ -1,5 +1,4 @@
 module Deadline = Sepsat_util.Deadline
-module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
 module Progress = Sepsat_obs.Progress
 module Iv = Db.Iv
@@ -452,16 +451,14 @@ let solve ?(deadline = Deadline.none) ?(conflict_budget = 0) ?(assumptions = [])
       ~propagations:s.Db.n_props ~learnts:(Iv.size s.Db.learnts)
       ~trail:(Iv.size s.Db.trail) ~vars:s.Db.nvars
       ~level:(Db.decision_level s) ~started:s.Db.solve_started;
-    let before = if Obs.enabled () then Some (stats s) else None in
+    let before = stats s in
     let finish r =
       (* Pop the assumption levels so the solver is immediately reusable;
          phase saving in [cancel_until] retains the branching state. *)
       Db.cancel_until s 0;
       Iv.clear s.Db.assumptions;
-      (match before with
-      | Some b ->
-        publish_deltas b (stats s) (Deadline.wall_now () -. s.Db.solve_started)
-      | None -> ());
+      publish_deltas before (stats s)
+        (Deadline.wall_now () -. s.Db.solve_started);
       r
     in
     try

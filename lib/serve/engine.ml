@@ -161,7 +161,7 @@ let process t (jb : job) : reply =
      ran on this worker before. *)
   Trace_ctx.with_ctx (Trace_ctx.make ~rid:jb.jb_rid ~path:jb.jb_path ())
   @@ fun () ->
-  Flight.record ~dur_ms:queue_ms Flight.Span "hop.shard_queue";
+  Obs.record ~dur:(queue_ms /. 1e3) Obs.Span "hop.shard_queue";
   Log.with_fields [ ("rid", Log.S jb.jb_rid); ("id", Log.S jb.jb_id) ]
   @@ fun () ->
   Obs.span ~cat:"serve" "serve.request" (fun () ->
@@ -304,11 +304,12 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 1024)
     | None -> max 1 (min 8 (Domain.recommended_domain_count () - 1))
   in
   (* A serving process reports live metrics whether or not tracing is on;
-     see the note on the metric handles above. The flight recorder is
-     always-on for the same reason: when a request wedges, its recent
-     history must already be in the ring. *)
+     see the note on the metric handles above. The Obs ring is always-on
+     for the same reason: when a request wedges, its recent history must
+     already be in the ring for a flight dump. A ring already enabled (by
+     a tracing flag) keeps its capacity. *)
   Metrics.set_always_on true;
-  Flight.enable ();
+  if not (Obs.enabled ()) then Obs.enable ();
   Option.iter Flight.set_dump_dir flight_dir;
   let t =
     {

@@ -231,27 +231,12 @@ let parse s =
 
 (* -- Printing -------------------------------------------------------------- *)
 
-let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else
-    (* Numbers must survive a print/parse round trip exactly: the trace
-       clock anchors are epoch-seconds absolutes whose *differences*
-       carry the signal, so truncating them to 12 significant digits
-       (tens of microseconds at 1.8e9 s) corrupts sub-millisecond hop
-       arithmetic downstream. Most numbers still print compactly. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
 let to_string v =
   let buf = Buffer.create 256 in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f ->
-      if Float.is_nan f || Float.abs f = infinity then
-        Buffer.add_string buf "null"
-      else Buffer.add_string buf (number_to_string f)
+    | Num f -> Buffer.add_string buf (Sepsat_obs.Json_string.number f)
     | Str s -> Sepsat_obs.Json_string.add buf s
     | Arr items ->
       Buffer.add_char buf '[';

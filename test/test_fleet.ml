@@ -164,6 +164,20 @@ let test_lineconn_read_banking () =
   (match Lineconn.on_readable c with
   | `Lines [ "world"; "tail" ] -> ()  (* blank line filtered *)
   | _ -> Alcotest.fail "two lines, blank filtered");
+  (* A 1 MiB line in 4 KiB pieces banks piece by piece and arrives once,
+     whole. *)
+  let piece = String.make 4096 'x' in
+  for _ = 1 to 256 do
+    wr b piece;
+    match Lineconn.on_readable c with
+    | `Nothing -> ()
+    | _ -> Alcotest.fail "an unterminated piece must bank"
+  done;
+  wr b "\n";
+  (match Lineconn.on_readable c with
+  | `Lines [ l ] ->
+    Alcotest.(check int) "one 1 MiB line" (1 lsl 20) (String.length l)
+  | _ -> Alcotest.fail "the long line arrives as exactly one line");
   Unix.close b;
   (match Lineconn.on_readable c with
   | `Closed -> ()

@@ -1,102 +1,92 @@
-(* Tests of the flight recorder: ring discipline, tear-free concurrent
-   recording, JSON dumps (on demand, to file, on signal) and the ambient
-   rid default.
+(* Tests of the flight recorder — the Obs ring and its dumps: ring
+   discipline, tear-free concurrent recording, JSON dumps (on demand, to
+   file, on signal), the ambient rid default and cross-process assembly.
 
-   Flight state is process-global, so every test starts from [fresh ()]. *)
+   Obs state is process-global, so every test starts from [fresh ()]. *)
 
 module Flight = Sepsat_obs.Flight
 module Trace_ctx = Sepsat_obs.Trace_ctx
 module Obs = Sepsat_obs.Obs
 module Log = Sepsat_obs.Log
+module Chrome_trace = Sepsat_obs.Chrome_trace
 module Json = Sepsat_serve.Json
 
 let fresh ?capacity () =
-  Flight.disable ();
-  Flight.reset ();
   Obs.disable ();
   Obs.reset ();
-  Flight.enable ?capacity ()
+  Obs.enable ?capacity ()
 
 let test_disabled_no_records () =
-  Flight.disable ();
-  Flight.reset ();
-  Flight.record Flight.Event "dead";
-  Alcotest.(check int) "no records" 0 (List.length (Flight.records ()));
-  Alcotest.(check bool) "still disabled" false (Flight.enabled ())
+  Obs.disable ();
+  Obs.reset ();
+  Obs.record Obs.Event "dead";
+  Alcotest.(check int) "no records" 0 (List.length (Obs.records ()));
+  Alcotest.(check bool) "still disabled" false (Obs.enabled ())
 
 let test_record_fields () =
   fresh ();
-  Flight.record ~rid:"rq-1" ~dur_ms:2.5 ~data:[ ("k", "v") ] Flight.Span
-    "solve";
-  Trace_ctx.with_rid "rq-ambient" (fun () ->
-      Flight.record Flight.Event "mark");
-  match Flight.records () with
+  Obs.record ~rid:"rq-1" ~dur:0.0025 ~data:[ ("k", "v") ] Obs.Span "solve";
+  Trace_ctx.with_rid "rq-ambient" (fun () -> Obs.record Obs.Event "mark");
+  match Obs.records () with
   | [ a; b ] ->
-    Alcotest.(check string) "name" "solve" a.Flight.fr_name;
-    Alcotest.(check string) "explicit rid" "rq-1" a.Flight.fr_rid;
-    Alcotest.(check (float 1e-9)) "duration" 2.5 a.Flight.fr_dur_ms;
+    Alcotest.(check string) "name" "solve" a.name;
+    Alcotest.(check string) "explicit rid" "rq-1" a.rid;
+    Alcotest.(check (float 1e-12)) "duration" 0.0025 a.dur;
     Alcotest.(check (list (pair string string))) "payload" [ ("k", "v") ]
-      a.Flight.fr_data;
-    Alcotest.(check bool) "kind" true (a.Flight.fr_kind = Flight.Span);
-    Alcotest.(check string) "ambient rid is the default" "rq-ambient"
-      b.Flight.fr_rid;
-    Alcotest.(check bool) "timestamps ordered" true
-      (a.Flight.fr_ts <= b.Flight.fr_ts)
+      a.data;
+    Alcotest.(check bool) "kind" true (a.kind = Obs.Span);
+    Alcotest.(check string) "ambient rid is the default" "rq-ambient" b.rid;
+    Alcotest.(check bool) "timestamps ordered" true (a.mono <= b.mono)
   | rs -> Alcotest.fail (Printf.sprintf "expected 2 records, got %d"
                            (List.length rs))
 
 let test_ring_overwrite_keeps_newest () =
   fresh ~capacity:16 ();
   for i = 0 to 99 do
-    Flight.record ~data:[ ("i", string_of_int i) ] Flight.Event "tick"
+    Obs.record ~data:[ ("i", string_of_int i) ] Obs.Event "tick"
   done;
-  let rs = Flight.records () in
+  let rs = Obs.records () in
   Alcotest.(check int) "ring keeps capacity" 16 (List.length rs);
-  Alcotest.(check int) "dropped counted" 84 (Flight.dropped ());
+  Alcotest.(check int) "dropped counted" 84 (Obs.dropped ());
   (* Timestamps of back-to-back records can collide at clock resolution,
      so assert the surviving *set*, not the sort order. *)
   let values =
-    List.map (fun r -> int_of_string (List.assoc "i" r.Flight.fr_data)) rs
+    List.map (fun (r : Obs.record) -> int_of_string (List.assoc "i" r.data)) rs
     |> List.sort compare
   in
   Alcotest.(check (list int)) "exactly the newest survive"
     (List.init 16 (fun i -> 84 + i))
     values
 
-(* Obs spans double-record into the flight ring even with the span
-   collector off — this is what makes a default server debuggable. The
-   span record carries the request rid and the span path. *)
-let test_spans_feed_flight () =
+(* A span record carries the request rid and the span path — what makes a
+   dump of a default server readable per request. *)
+let test_spans_carry_rid_and_path () =
   fresh ();
-  Alcotest.(check bool) "obs collector stays off" false (Obs.enabled ());
   Trace_ctx.with_rid "rq-f" (fun () ->
       Obs.span "outer" (fun () -> Obs.span "inner" (fun () -> ())));
   let find name =
-    List.find (fun r -> r.Flight.fr_name = name) (Flight.records ())
+    List.find (fun (r : Obs.record) -> r.name = name) (Obs.records ())
   in
   let inner = find "inner" and outer = find "outer" in
-  Alcotest.(check string) "rid tagged" "rq-f" inner.Flight.fr_rid;
+  Alcotest.(check string) "rid tagged" "rq-f" inner.rid;
   Alcotest.(check string) "path shows nesting" "outer/inner"
-    (List.assoc "path" inner.Flight.fr_data);
+    (List.assoc "path" inner.data);
   Alcotest.(check bool) "outer path omitted when trivial" true
-    (not (List.mem_assoc "path" outer.Flight.fr_data));
+    (not (List.mem_assoc "path" outer.data));
   Alcotest.(check bool) "durations non-negative" true
-    (inner.Flight.fr_dur_ms >= 0. && outer.Flight.fr_dur_ms >= 0.);
-  Alcotest.(check int) "no obs events recorded" 0
-    (List.length (Obs.events ()))
+    (inner.dur >= 0. && outer.dur >= 0.)
 
-(* Log events tee into the ring even without a log sink enabled. *)
+(* Log events land in the ring even without a log sink enabled. *)
 let test_logs_feed_flight () =
   fresh ();
   Log.event "serve.request" [ ("rid", Log.S "rq-l"); ("n", Log.I 3) ];
   match
-    List.filter (fun r -> r.Flight.fr_kind = Flight.Log) (Flight.records ())
+    List.filter (fun (r : Obs.record) -> r.kind = Obs.Log) (Obs.records ())
   with
   | [ r ] ->
-    Alcotest.(check string) "event name" "serve.request" r.Flight.fr_name;
-    Alcotest.(check string) "rid lifted from fields" "rq-l" r.Flight.fr_rid;
-    Alcotest.(check string) "fields stringified" "3"
-      (List.assoc "n" r.Flight.fr_data)
+    Alcotest.(check string) "event name" "serve.request" r.name;
+    Alcotest.(check string) "rid lifted from fields" "rq-l" r.rid;
+    Alcotest.(check string) "fields stringified" "3" (List.assoc "n" r.data)
   | rs ->
     Alcotest.fail (Printf.sprintf "expected 1 log record, got %d"
                      (List.length rs))
@@ -113,9 +103,9 @@ let dump_records j =
 
 let test_dump_json_roundtrip () =
   fresh ();
-  Flight.record ~rid:"rq-\"quoted\"\n" ~dur_ms:1.25
+  Obs.record ~rid:"rq-\"quoted\"\n" ~dur:0.00125
     ~data:[ ("edge", "tab\tand\\backslash") ]
-    Flight.Span "weird";
+    Obs.Span "weird";
   let j = parse_dump (Flight.to_json ()) in
   Alcotest.(check (option string)) "schema" (Some "sepsat-flight-1")
     (Json.mem_str "schema" j);
@@ -135,7 +125,7 @@ let test_write_and_dump_files () =
   let dir = Filename.temp_file "flight" ".d" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  Flight.record ~rid:"rq-w" Flight.Event "written";
+  Obs.record ~rid:"rq-w" Obs.Event "written";
   let path = Filename.concat dir "out.json" in
   Flight.write path;
   let read_file p =
@@ -166,7 +156,7 @@ let test_signal_dump () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   Flight.set_dump_dir dir;
-  Flight.record ~rid:"rq-sig" Flight.Event "before-signal";
+  Obs.record ~rid:"rq-sig" Obs.Event "before-signal";
   Flight.install_signal_dump ();
   Unix.kill (Unix.getpid ()) Sys.sigusr1;
   (* Signals are delivered at safe points; poll briefly for the file. *)
@@ -198,15 +188,13 @@ let test_signal_dump () =
 
 let test_records_carry_mono () =
   fresh ();
-  Flight.record ~rid:"rq-m" Flight.Event "stamp";
-  (match Flight.records () with
+  Obs.record ~rid:"rq-m" Obs.Event "stamp";
+  (match Obs.records () with
   | [ r ] ->
-    (* fr_ts and fr_mono come from one [Clock.pair] reading: the clamp
-       only ever pushes mono forward, never behind the wall stamp *)
-    Alcotest.(check bool) "mono present and >= wall" true
-      (r.Flight.fr_mono >= r.Flight.fr_ts);
-    Alcotest.(check bool) "mono close to wall" true
-      (r.Flight.fr_mono -. r.Flight.fr_ts < 60.)
+    (* ts and mono come from one [Clock.pair] reading: the clamp only
+       ever pushes mono forward, never behind the wall stamp *)
+    Alcotest.(check bool) "mono present and >= wall" true (r.mono >= r.ts);
+    Alcotest.(check bool) "mono close to wall" true (r.mono -. r.ts < 60.)
   | rs ->
     Alcotest.fail
       (Printf.sprintf "expected 1 record, got %d" (List.length rs)));
@@ -222,15 +210,25 @@ let test_records_carry_mono () =
 
 let mk_record ?(rid = "") ?(dur_ms = 0.) ~mono name =
   {
-    Flight.fr_ts = 0.;
+    Obs.ts = 0.;
     (* deliberately bogus: assemble must use mono, not ts *)
-    fr_mono = mono;
-    fr_tid = 0;
-    fr_rid = rid;
-    fr_kind = (if dur_ms > 0. then Flight.Span else Flight.Event);
-    fr_name = name;
-    fr_dur_ms = dur_ms;
-    fr_data = [];
+    mono;
+    tid = 0;
+    rid;
+    kind = (if dur_ms > 0. then Obs.Span else Obs.Event);
+    name;
+    dur = dur_ms /. 1e3;
+    data = [];
+  }
+
+let source ~label ~pid ~wall ~mono records =
+  {
+    Chrome_trace.src_label = label;
+    src_pid = pid;
+    src_wall = wall;
+    src_mono = mono;
+    src_records = records;
+    src_threads = [];
   }
 
 let assemble_events doc =
@@ -248,25 +246,15 @@ let assemble_events doc =
    they ended. *)
 let test_assemble_aligns_skewed_clocks () =
   let a =
-    {
-      Flight.src_label = "router";
-      src_pid = 100;
-      src_wall = 1000.;
-      src_mono = 500.;
-      src_records = [ mk_record ~rid:"fl-1" ~dur_ms:10. ~mono:499.9 "hop.a" ];
-    }
+    source ~label:"router" ~pid:100 ~wall:1000. ~mono:500.
+      [ mk_record ~rid:"fl-1" ~dur_ms:10. ~mono:499.9 "hop.a" ]
   in
   let b =
-    {
-      Flight.src_label = "backend-0";
-      src_pid = 200;
-      src_wall = 1000.05;
-      src_mono = 9999.;
-      (* ends 0.1 s before B's dump => abs 999.95, before A's record *)
-      src_records = [ mk_record ~rid:"fl-1" ~dur_ms:20. ~mono:9998.9 "hop.b" ];
-    }
+    (* ends 0.1 s before B's dump => abs 999.95, before A's record *)
+    source ~label:"backend-0" ~pid:200 ~wall:1000.05 ~mono:9999.
+      [ mk_record ~rid:"fl-1" ~dur_ms:20. ~mono:9998.9 "hop.b" ]
   in
-  let _, es = assemble_events (Flight.assemble [ a; b ]) in
+  let _, es = assemble_events (Chrome_trace.assemble [ a; b ]) in
   let lanes =
     List.filter_map
       (fun e ->
@@ -299,20 +287,14 @@ let test_assemble_aligns_skewed_clocks () =
 
 let test_assemble_rid_filter () =
   let src =
-    {
-      Flight.src_label = "server";
-      src_pid = 1;
-      src_wall = 100.;
-      src_mono = 100.;
-      src_records =
-        [
-          mk_record ~rid:"fl-keep" ~dur_ms:1. ~mono:99.9 "keep.span";
-          mk_record ~rid:"fl-drop" ~dur_ms:1. ~mono:99.9 "drop.span";
-          mk_record ~rid:"fl-keep" ~mono:99.95 "keep.mark";
-        ];
-    }
+    source ~label:"server" ~pid:1 ~wall:100. ~mono:100.
+      [
+        mk_record ~rid:"fl-keep" ~dur_ms:1. ~mono:99.9 "keep.span";
+        mk_record ~rid:"fl-drop" ~dur_ms:1. ~mono:99.9 "drop.span";
+        mk_record ~rid:"fl-keep" ~mono:99.95 "keep.mark";
+      ]
   in
-  let _, es = assemble_events (Flight.assemble ~rid:"fl-keep" [ src ]) in
+  let _, es = assemble_events (Chrome_trace.assemble ~rid:"fl-keep" [ src ]) in
   let names =
     List.filter_map
       (fun e ->
@@ -332,8 +314,8 @@ let test_assemble_rid_filter () =
    re-decode the dump as a source (the [sufdec trace] path), assemble. *)
 let test_assemble_from_live_dump () =
   fresh ();
-  Flight.record ~rid:"fl-live" ~dur_ms:2. Flight.Span "serve.solve";
-  Flight.record ~rid:"rq-other" ~dur_ms:1. Flight.Span "noise";
+  Obs.record ~rid:"fl-live" ~dur:0.002 Obs.Span "serve.solve";
+  Obs.record ~rid:"rq-other" ~dur:0.001 Obs.Span "noise";
   let j = parse_dump (Flight.to_json ()) in
   let wall = Option.get (Json.mem_num "wall" j) in
   let mono = Option.get (Json.mem_num "mono" j) in
@@ -342,27 +324,23 @@ let test_assemble_from_live_dump () =
       (fun r ->
         let ts = Option.get (Json.mem_num "ts" r) in
         {
-          Flight.fr_ts = ts;
-          fr_mono = Option.value ~default:ts (Json.mem_num "mono" r);
-          fr_tid = Option.value ~default:0 (Json.mem_int "tid" r);
-          fr_rid = Option.value ~default:"" (Json.mem_str "rid" r);
-          fr_kind = Flight.Span;
-          fr_name = Option.value ~default:"" (Json.mem_str "name" r);
-          fr_dur_ms = Option.value ~default:0. (Json.mem_num "dur_ms" r);
-          fr_data = [];
+          Obs.ts;
+          mono = Option.value ~default:ts (Json.mem_num "mono" r);
+          tid = Option.value ~default:0 (Json.mem_int "tid" r);
+          rid = Option.value ~default:"" (Json.mem_str "rid" r);
+          kind = Obs.Span;
+          name = Option.value ~default:"" (Json.mem_str "name" r);
+          dur = Option.value ~default:0. (Json.mem_num "dur_ms" r) /. 1e3;
+          data = [];
         })
       (dump_records j)
   in
   let src =
-    {
-      Flight.src_label = "server";
-      src_pid = Option.value ~default:0 (Json.mem_int "pid" j);
-      src_wall = wall;
-      src_mono = mono;
-      src_records = records;
-    }
+    source ~label:"server"
+      ~pid:(Option.value ~default:0 (Json.mem_int "pid" j))
+      ~wall ~mono records
   in
-  let _, es = assemble_events (Flight.assemble ~rid:"fl-live" [ src ]) in
+  let _, es = assemble_events (Chrome_trace.assemble ~rid:"fl-live" [ src ]) in
   let spans =
     List.filter (fun e -> Json.mem_str "ph" e = Some "X") es
   in
@@ -371,6 +349,38 @@ let test_assemble_from_live_dump () =
   Alcotest.(check (option string)) "span name survives the round trip"
     (Some "serve.solve")
     (Json.mem_str "name" (List.hd spans))
+
+(* -- One ring, two exports ---------------------------------------------- *)
+
+(* During a traced run, the flight dump and the Chrome trace read the same
+   ring: they list the same span names with the same counts. *)
+let test_dump_and_chrome_agree () =
+  fresh ~capacity:Obs.trace_capacity ();
+  let ctx = Sepsat_suf.Ast.create_ctx () in
+  let f = Sepsat_workloads.Cache.formula ~bug:false ctx ~n_caches:2 in
+  Trace_ctx.with_rid "rq-both" (fun () ->
+      ignore (Sepsat.Decide.decide ctx f));
+  let count names =
+    List.sort_uniq compare names
+    |> List.map (fun n -> (n, List.length (List.filter (( = ) n) names)))
+  in
+  let names_where key value es =
+    List.filter_map
+      (fun e ->
+        if Json.mem_str key e = Some value then Json.mem_str "name" e
+        else None)
+      es
+  in
+  let dump = dump_records (parse_dump (Flight.to_json ())) in
+  let dumped = count (names_where "kind" "span" dump) in
+  let _, es =
+    assemble_events (Chrome_trace.assemble [ Chrome_trace.local () ])
+  in
+  let traced = count (names_where "ph" "X" es) in
+  Alcotest.(check bool) "the run recorded spans" true
+    (List.mem_assoc "sat" dumped);
+  Alcotest.(check (list (pair string int))) "same span names and counts"
+    dumped traced
 
 (* -- Concurrency ----------------------------------------------------------- *)
 
@@ -383,39 +393,39 @@ let prop_concurrent_no_torn_records =
   QCheck2.Test.make ~name:"concurrent flight records never tear" ~count:20
     gen (fun (n_domains, n_records) ->
       fresh ~capacity:64 ();
-      let consistent r =
+      let consistent (r : Obs.record) =
         (* rid "w<d>-<i>", name "rec-<d>-<i>", data [("d", d); ("i", i)] *)
-        match String.split_on_char '-' r.Flight.fr_name with
+        match String.split_on_char '-' r.name with
         | [ "rec"; d; i ] ->
-          r.Flight.fr_rid = Printf.sprintf "w%s-%s" d i
-          && List.assoc_opt "d" r.Flight.fr_data = Some d
-          && List.assoc_opt "i" r.Flight.fr_data = Some i
-          && r.Flight.fr_dur_ms = float_of_string i
+          r.rid = Printf.sprintf "w%s-%s" d i
+          && List.assoc_opt "d" r.data = Some d
+          && List.assoc_opt "i" r.data = Some i
+          && r.dur = float_of_string i
         | _ -> false
       in
       let writers =
         List.init n_domains (fun d ->
             Domain.spawn (fun () ->
                 for i = 0 to n_records - 1 do
-                  Flight.record
+                  Obs.record
                     ~rid:(Printf.sprintf "w%d-%d" d i)
-                    ~dur_ms:(float_of_int i)
+                    ~dur:(float_of_int i)
                     ~data:
                       [ ("d", string_of_int d); ("i", string_of_int i) ]
-                    Flight.Span
+                    Obs.Span
                     (Printf.sprintf "rec-%d-%d" d i)
                 done))
       in
       (* Read (and render) while the writers run, then once after. *)
       let ok = ref true in
       for _ = 1 to 20 do
-        ok := !ok && List.for_all consistent (Flight.records ());
+        ok := !ok && List.for_all consistent (Obs.records ());
         ok := !ok && (match Json.parse (Flight.to_json ()) with
                      | Ok _ -> true
                      | Error _ -> false)
       done;
       List.iter Domain.join writers;
-      !ok && List.for_all consistent (Flight.records ()))
+      !ok && List.for_all consistent (Obs.records ()))
 
 (* The dump taken under load is valid JSON whose record objects all carry
    the schema's fields. *)
@@ -431,10 +441,10 @@ let prop_dump_under_load_valid =
                 let i = ref 0 in
                 while not (Atomic.get stop) do
                   incr i;
-                  Flight.record
+                  Obs.record
                     ~rid:(Printf.sprintf "w%d" d)
                     ~data:[ ("i", string_of_int !i) ]
-                    Flight.Event "load"
+                    Obs.Event "load"
                 done))
       in
       let ok = ref true in
@@ -474,8 +484,8 @@ let () =
         ] );
       ( "feeds",
         [
-          Alcotest.test_case "obs spans tee in with obs off" `Quick
-            test_spans_feed_flight;
+          Alcotest.test_case "spans carry rid and path" `Quick
+            test_spans_carry_rid_and_path;
           Alcotest.test_case "log events tee in without a sink" `Quick
             test_logs_feed_flight;
         ] );
@@ -497,6 +507,11 @@ let () =
             test_assemble_rid_filter;
           Alcotest.test_case "live dump decodes and assembles" `Quick
             test_assemble_from_live_dump;
+        ] );
+      ( "one ring",
+        [
+          Alcotest.test_case "dump and Chrome trace list the same spans"
+            `Quick test_dump_and_chrome_agree;
         ] );
       ( "concurrency",
         [

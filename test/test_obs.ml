@@ -10,17 +10,24 @@ module Chrome_trace = Sepsat_obs.Chrome_trace
 module Prom = Sepsat_obs.Prom
 module Window = Sepsat_obs.Window
 module Log = Sepsat_obs.Log
-module Flight = Sepsat_obs.Flight
 module Trace_ctx = Sepsat_obs.Trace_ctx
 
 let fresh ?capacity () =
   Obs.disable ();
   Obs.reset ();
-  Flight.disable ();
-  Flight.reset ();
   Metrics.reset ();
   Progress.set_callback None;
   Obs.enable ?capacity ()
+
+(* Span records as (name, start, end) on the mono clock. *)
+let spans_of recs =
+  List.filter_map
+    (fun (r : Obs.record) ->
+      if r.kind = Obs.Span then Some (r.name, r.mono -. r.dur, r.mono)
+      else None)
+    recs
+
+let span_names recs = List.map (fun (n, _, _) -> n) (spans_of recs)
 
 (* -- Exporter output goes through the protocol's strict JSON parser ------ *)
 
@@ -52,7 +59,7 @@ let test_disabled_no_events () =
   Obs.sample "dead.sample" 1.;
   Metrics.incr c;
   Alcotest.(check int) "span is transparent" 42 r;
-  Alcotest.(check int) "no events" 0 (List.length (Obs.events ()));
+  Alcotest.(check int) "no events" 0 (List.length (Obs.records ()));
   Alcotest.(check int) "no metric update" 0 (Metrics.get c);
   Alcotest.(check bool) "still disabled" false (Obs.enabled ())
 
@@ -65,29 +72,18 @@ let test_span_basic () =
         Obs.span ~cat:"t" "inner" (fun () -> 7))
   in
   Alcotest.(check int) "result" 7 r;
-  let spans =
-    List.filter_map
-      (function
-        | Obs.Span { name; ts; dur; _ } -> Some (name, ts, dur)
-        | _ -> None)
-      (Obs.events ())
-  in
+  let spans = spans_of (Obs.records ()) in
   Alcotest.(check int) "two spans" 2 (List.length spans);
   let find n = List.find (fun (n', _, _) -> n' = n) spans in
-  let _, ots, odur = find "outer" and _, its, idur = find "inner" in
+  let _, ots, oend = find "outer" and _, its, iend = find "inner" in
   Alcotest.(check bool) "inner starts inside" true (its >= ots);
-  Alcotest.(check bool) "inner ends inside" true
-    (its +. idur <= ots +. odur +. 1e-9)
+  Alcotest.(check bool) "inner ends inside" true (iend <= oend)
 
 let test_span_exception () =
   fresh ();
   (try Obs.span "boom" (fun () -> failwith "x") with Failure _ -> ());
-  let names =
-    List.filter_map
-      (function Obs.Span { name; _ } -> Some name | _ -> None)
-      (Obs.events ())
-  in
-  Alcotest.(check (list string)) "span recorded on raise" [ "boom" ] names
+  Alcotest.(check (list string)) "span recorded on raise" [ "boom" ]
+    (span_names (Obs.records ()))
 
 let test_timed () =
   fresh ();
@@ -104,14 +100,17 @@ let test_ring_overflow () =
   for i = 0 to 99 do
     Obs.sample "tick" (float_of_int i)
   done;
-  let evs = Obs.events () in
-  Alcotest.(check int) "ring keeps capacity" 16 (List.length evs);
+  let recs = Obs.records () in
+  Alcotest.(check int) "ring keeps capacity" 16 (List.length recs);
   Alcotest.(check int) "dropped counted" 84 (Obs.dropped ());
-  (* The survivors are the newest events, in order. *)
+  (* The survivors are the newest records, in order. *)
   let values =
     List.filter_map
-      (function Obs.Sample { value; _ } -> Some value | _ -> None)
-      evs
+      (fun (r : Obs.record) ->
+        if r.kind = Obs.Sample then
+          Some (float_of_string (List.assoc "value" r.data))
+        else None)
+      recs
   in
   Alcotest.(check (list (float 1e-9)))
     "newest survive"
@@ -122,7 +121,7 @@ let test_span_summary () =
   fresh ();
   Obs.span "a" (fun () -> Obs.span "b" (fun () -> ()));
   Obs.span "b" (fun () -> ());
-  let stats = Obs.span_summary (Obs.events ()) in
+  let stats = Obs.span_summary (Obs.records ()) in
   let find n = List.find (fun s -> s.Obs.ss_name = n) stats in
   Alcotest.(check int) "a count" 1 (find "a").Obs.ss_count;
   Alcotest.(check int) "b count" 2 (find "b").Obs.ss_count;
@@ -131,10 +130,10 @@ let test_span_summary () =
 
 (* -- Concurrent domain emission ------------------------------------------- *)
 
-(* Each domain runs a random tree of nested spans. The collected stream must
-   then be, per domain: timestamp-monotone, and well-nested — any two spans
-   are either disjoint or one contains the other. This is the structural
-   invariant the Chrome exporter's stack replay relies on. *)
+(* Each domain runs a random tree of nested spans. The collected records
+   must then be, per domain: timestamp-monotone, and well-nested — any two
+   spans are either disjoint or one contains the other. This is the
+   structural invariant that makes the Chrome export nest per lane. *)
 let prop_concurrent_well_nested =
   let gen =
     QCheck2.Gen.(
@@ -160,24 +159,20 @@ let prop_concurrent_well_nested =
         List.init n_domains (fun d -> Domain.spawn (fun () -> work d))
       in
       List.iter Domain.join domains;
-      let evs = Obs.events () in
-      let tids = List.sort_uniq compare (List.map Obs.event_tid evs) in
+      let recs = Obs.records () in
+      let tids =
+        List.sort_uniq compare (List.map (fun (r : Obs.record) -> r.tid) recs)
+      in
       List.for_all
         (fun tid ->
-          let mine = List.filter (fun e -> Obs.event_tid e = tid) evs in
+          let mine = List.filter (fun (r : Obs.record) -> r.tid = tid) recs in
           (* monotone timestamps per domain *)
           let rec monotone = function
-            | a :: (b :: _ as rest) ->
-              Obs.event_ts a <= Obs.event_ts b && monotone rest
+            | (a : Obs.record) :: (b :: _ as rest) ->
+              a.mono <= b.mono && monotone rest
             | _ -> true
           in
-          let spans =
-            List.filter_map
-              (function
-                | Obs.Span { ts; dur; _ } -> Some (ts, ts +. dur)
-                | _ -> None)
-              mine
-          in
+          let spans = List.map (fun (_, s, e) -> (s, e)) (spans_of mine) in
           let disjoint_or_nested (s1, e1) (s2, e2) =
             e1 <= s2 || e2 <= s1
             || (s1 <= s2 && e2 <= e1)
@@ -199,81 +194,68 @@ let collect_some_events () =
   Obs.span ~cat:"pipeline" "outer" (fun () ->
       Obs.span ~cat:"pipeline" "inner" (fun () -> Obs.sample "counter" 3.);
       Obs.instant ~cat:"pipeline" "mark \"quoted\"");
-  Obs.events ()
+  Chrome_trace.local ()
 
-let test_chrome_valid_json () =
-  let evs = collect_some_events () in
-  let json = Json.parse (Chrome_trace.to_string evs) in
-  let trace = Json.member "traceEvents" json in
-  match trace with
-  | Json.Arr items ->
-    Alcotest.(check bool) "non-empty" true (items <> []);
-    List.iter
-      (fun item ->
-        let ph = Json.str (Json.member "ph" item) in
-        Alcotest.(check bool) "known phase" true
-          (List.mem ph [ "B"; "E"; "i"; "C"; "M" ]);
-        if ph <> "M" then
-          Alcotest.(check bool) "ts non-negative" true
-            (Json.num (Json.member "ts" item) >= 0.))
-      items
+let chrome_events src =
+  match
+    Json.member "traceEvents" (Json.parse (Chrome_trace.assemble [ src ]))
+  with
+  | Json.Arr items -> items
   | _ -> Alcotest.fail "traceEvents is not an array"
 
-let test_chrome_matched_begin_end () =
-  let evs = collect_some_events () in
-  let json = Json.parse (Chrome_trace.to_string evs) in
-  let items =
-    match Json.member "traceEvents" json with
-    | Json.Arr items -> items
-    | _ -> Alcotest.fail "traceEvents is not an array"
-  in
-  (* Replay per-tid: every E must close the most recent open B, timestamps
-     must never decrease, and nothing may stay open. *)
-  let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 4 in
-  let last_ts : (int, float ref) Hashtbl.t = Hashtbl.create 4 in
-  let get tbl tid v0 =
-    match Hashtbl.find_opt tbl tid with
-    | Some r -> r
-    | None ->
-      let r = ref v0 in
-      Hashtbl.add tbl tid r;
-      r
-  in
+let test_chrome_valid_json () =
+  let items = chrome_events (collect_some_events ()) in
+  Alcotest.(check bool) "non-empty" true (items <> []);
   List.iter
     (fun item ->
-      match Json.str (Json.member "ph" item) with
-      | "B" | "E" as ph ->
-        let tid = int_of_float (Json.num (Json.member "tid" item)) in
-        let ts = Json.num (Json.member "ts" item) in
-        let lt = get last_ts tid 0. in
-        Alcotest.(check bool) "timestamps non-decreasing" true (ts >= !lt);
-        lt := ts;
-        let stack = get stacks tid [] in
-        if ph = "B" then
-          stack := Json.str (Json.member "name" item) :: !stack
-        else begin
-          match !stack with
-          | top :: rest ->
-            Alcotest.(check string) "E matches innermost B" top
-              (Json.str (Json.member "name" item));
-            stack := rest
-          | [] -> Alcotest.fail "E without open B"
+      let ph = Json.str (Json.member "ph" item) in
+      Alcotest.(check bool) "known phase" true
+        (List.mem ph [ "X"; "i"; "C"; "M" ]);
+      if ph <> "M" then
+        Alcotest.(check bool) "ts non-negative" true
+          (Json.num (Json.member "ts" item) >= 0.))
+    items
+
+(* Within one lane, two X events are disjoint or one contains the other,
+   to within the 1 ns print resolution; every X carries a non-negative
+   duration and an args object. *)
+let test_chrome_x_nesting () =
+  let items = chrome_events (collect_some_events ()) in
+  let xs =
+    List.filter_map
+      (fun item ->
+        if Json.str (Json.member "ph" item) = "X" then begin
+          let dur = Json.num (Json.member "dur" item) in
+          Alcotest.(check bool) "dur non-negative" true (dur >= 0.);
+          Alcotest.(check bool) "args object" true
+            (match Json.member "args" item with
+            | Json.Obj _ -> true
+            | _ -> false);
+          let ts = Json.num (Json.member "ts" item) in
+          Some (Json.num (Json.member "tid" item), ts, ts +. dur)
         end
-      | _ -> ())
-    items;
-  Hashtbl.iter
-    (fun _ stack ->
-      Alcotest.(check (list string)) "all spans closed" [] !stack)
-    stacks
+        else None)
+      items
+  in
+  Alcotest.(check int) "both spans exported" 2 (List.length xs);
+  let eps = 0.01 in
+  let nest_ok (t1, s1, e1) (t2, s2, e2) =
+    t1 <> t2
+    || e1 <= s2 +. eps
+    || e2 <= s1 +. eps
+    || (s1 <= s2 +. eps && e2 <= e1 +. eps)
+    || (s2 <= s1 +. eps && e1 <= e2 +. eps)
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check bool) "X intervals nest per tid" true (nest_ok a b))
+        xs)
+    xs
 
 let test_chrome_thread_names () =
-  let evs = collect_some_events () in
-  let json = Json.parse (Chrome_trace.to_string evs) in
-  let items =
-    match Json.member "traceEvents" json with
-    | Json.Arr items -> items
-    | _ -> []
-  in
+  let items = chrome_events (collect_some_events ()) in
   let names =
     List.filter_map
       (fun item ->
@@ -304,12 +286,7 @@ let test_span_rid_tagging () =
   Obs.span "untagged" (fun () -> ());
   Obs.instant "mark";
   let rids =
-    List.filter_map
-      (function
-        | Obs.Span { name; rid; _ } -> Some (name, rid)
-        | Obs.Instant { name; rid; _ } -> Some (name, rid)
-        | _ -> None)
-      (Obs.events ())
+    List.map (fun (r : Obs.record) -> (r.name, r.rid)) (Obs.records ())
   in
   Alcotest.(check string) "request root tagged" "rq-42"
     (List.assoc "tagged" rids);
@@ -334,10 +311,9 @@ let test_trace_ctx_cross_domain () =
   Domain.join d;
   let rid =
     List.find_map
-      (function
-        | Obs.Span { name = "remote.work"; rid; _ } -> Some rid
-        | _ -> None)
-      (Obs.events ())
+      (fun (r : Obs.record) ->
+        if r.name = "remote.work" then Some r.rid else None)
+      (Obs.records ())
   in
   Alcotest.(check (option string)) "adopted rid" (Some "rq-far") rid
 
@@ -347,12 +323,7 @@ let test_chrome_rid_args () =
   Trace_ctx.with_rid "rq-chrome" (fun () ->
       Obs.span ~cat:"serve" "req" (fun () -> Obs.instant "req.mark"));
   Obs.span "plain" (fun () -> ());
-  let json = Json.parse (Chrome_trace.to_string (Obs.events ())) in
-  let items =
-    match Json.member "traceEvents" json with
-    | Json.Arr items -> items
-    | _ -> Alcotest.fail "traceEvents is not an array"
-  in
+  let items = chrome_events (Chrome_trace.local ()) in
   let rid_of name ph =
     List.find_map
       (fun item ->
@@ -360,18 +331,18 @@ let test_chrome_rid_args () =
           Json.str (Json.member "ph" item) = ph
           && Json.str (Json.member "name" item) = name
         then
-          match Json.member "args" item with
-          | args -> Some (Json.str (Json.member "rid" args))
-          | exception Not_found -> Some "<no args>"
+          match Json.member "rid" (Json.member "args" item) with
+          | rid -> Some (Json.str rid)
+          | exception Not_found -> Some "<no rid>"
         else None)
       items
   in
-  Alcotest.(check (option string)) "B event carries rid"
-    (Some "rq-chrome") (rid_of "req" "B");
+  Alcotest.(check (option string)) "X event carries rid"
+    (Some "rq-chrome") (rid_of "req" "X");
   Alcotest.(check (option string)) "instant carries rid"
     (Some "rq-chrome") (rid_of "req.mark" "i");
-  Alcotest.(check (option string)) "rid-less span has no args"
-    (Some "<no args>") (rid_of "plain" "B")
+  Alcotest.(check (option string)) "rid-less span has no rid"
+    (Some "<no rid>") (rid_of "plain" "X")
 
 (* -- Metrics -------------------------------------------------------------- *)
 
@@ -812,6 +783,29 @@ let test_log_sink_raises () =
           (Json.num (Json.member "k" j))
       | ls -> Alcotest.fail (Printf.sprintf "expected 1 line, got %d" (List.length ls)))
 
+(* One float printer for every JSON emitter: a log field and a histogram
+   sum of 0.1 + 0.2 (= 0.30000000000000004) parse back bit-exact. *)
+let test_floats_round_trip () =
+  let x = 0.1 +. 0.2 in
+  let same =
+    Alcotest.testable Fmt.float (fun a b ->
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+  in
+  with_log_capture (fun lines ->
+      Log.event "float.test" [ ("f", Log.F x) ];
+      match !lines with
+      | [ line ] ->
+        Alcotest.check same "log field" x
+          (Json.num (Json.member "f" (Json.parse line)))
+      | ls -> Alcotest.failf "expected 1 line, got %d" (List.length ls));
+  fresh ();
+  let h = Metrics.histogram "float.h" in
+  Metrics.observe h 0.1;
+  Metrics.observe h 0.2;
+  let j = Json.parse (Metrics.to_json ()) in
+  Alcotest.check same "histogram sum" x
+    (Json.num (Json.member "sum" (Json.member "float.h" j)))
+
 let test_log_disabled_and_levels () =
   let lines = ref [] in
   Log.enable ~level:Obs.Info ~sink:(fun l -> lines := l :: !lines) ();
@@ -842,13 +836,17 @@ let test_progress_tick () =
     Alcotest.(check int) "level" 7 s.Progress.p_level;
     Alcotest.(check bool) "elapsed sane" true (s.Progress.p_elapsed >= 0.)
   | _ -> Alcotest.fail "expected exactly one snapshot");
-  let samples =
-    List.filter_map
-      (function Obs.Sample { name; _ } -> Some name | _ -> None)
-      (Obs.events ())
-  in
-  Alcotest.(check bool) "conflict track emitted" true
-    (List.mem "sat.conflicts" samples);
+  (match
+     List.filter
+       (fun (r : Obs.record) -> r.kind = Obs.Progress)
+       (Obs.records ())
+   with
+  | [ r ] ->
+    Alcotest.(check string) "one progress record" "sat.progress" r.name;
+    Alcotest.(check (option string)) "conflict count recorded" (Some "1024")
+      (List.assoc_opt "conflicts" r.data)
+  | rs ->
+    Alcotest.failf "expected 1 progress record, got %d" (List.length rs));
   (* An installed callback keeps receiving ticks with obs off — that is
      how the serve engine's lane table stays live in default runs... *)
   Obs.disable ();
@@ -873,11 +871,7 @@ let test_pipeline_spans_end_to_end () =
   in
   let r = Sepsat.Decide.decide ctx f in
   Alcotest.(check bool) "valid" true (r.Sepsat.Decide.verdict = Sepsat_sep.Verdict.Valid);
-  let span_names =
-    List.filter_map
-      (function Obs.Span { name; _ } -> Some name | _ -> None)
-      (Obs.events ())
-  in
+  let span_names = span_names (Obs.records ()) in
   List.iter
     (fun phase ->
       Alcotest.(check bool) (phase ^ " span present") true
@@ -969,8 +963,8 @@ let () =
       ( "chrome",
         [
           Alcotest.test_case "valid JSON" `Quick test_chrome_valid_json;
-          Alcotest.test_case "matched B/E" `Quick
-            test_chrome_matched_begin_end;
+          Alcotest.test_case "X events nest per tid" `Quick
+            test_chrome_x_nesting;
           Alcotest.test_case "thread names" `Quick test_chrome_thread_names;
           Alcotest.test_case "rid lands in event args" `Quick
             test_chrome_rid_args;
@@ -1019,6 +1013,8 @@ let () =
             `Quick test_log_sink_raises;
           Alcotest.test_case "levels, disable, mint" `Quick
             test_log_disabled_and_levels;
+          Alcotest.test_case "float fields round-trip exactly" `Quick
+            test_floats_round_trip;
         ] );
       ( "progress",
         [ Alcotest.test_case "tick" `Quick test_progress_tick ] );

@@ -921,11 +921,9 @@ let test_engine_rid_tagged_spans () =
       | _ -> Alcotest.fail "solve failed");
       let rids_of name =
         List.filter_map
-          (function
-            | Sepsat_obs.Obs.Span { name = n; rid; _ } when n = name ->
-              Some rid
-            | _ -> None)
-          (Sepsat_obs.Obs.events ())
+          (fun (r : Obs.record) ->
+            if r.kind = Obs.Span && r.name = name then Some r.rid else None)
+          (Obs.records ())
       in
       (match rids_of "serve.request" with
       | rid :: _ ->
@@ -1116,6 +1114,62 @@ let test_serve_channels_metrics_op () =
       Alcotest.(check bool) "sample value parses" true
         (Float.is_finite (float_of_string v))
 
+(* A default server publishes the solver and encoder series too: one
+   EIJ-routed solve with tracing off moves sat_solves and
+   encode_trans_constraints in the metrics op's reply. *)
+let test_serve_metrics_cover_pipeline () =
+  Obs.disable ();
+  let engine = Engine.create ~workers:1 () in
+  Metrics.reset ();
+  (match
+     Engine.solve ~block:true engine
+       (Engine.job ~method_:Decide.Eij "(=> (and (= a b) (= b c)) (= a c))")
+   with
+  | Some (Ok _) -> ()
+  | _ -> Alcotest.fail "solve failed");
+  let in_path = Filename.temp_file "sufmetrics" ".in" in
+  let out_path = Filename.temp_file "sufmetrics" ".out" in
+  let oc = open_out in_path in
+  List.iter
+    (fun r -> output_string oc (Protocol.request_to_line r ^ "\n"))
+    [ Protocol.Metrics_req "m"; Protocol.Shutdown "q" ];
+  close_out oc;
+  let ic = open_in in_path and oc = open_out out_path in
+  ignore (Server.serve_channels engine ic oc);
+  close_in ic;
+  close_out oc;
+  Engine.shutdown engine;
+  let ic = open_in out_path in
+  let replies = String.split_on_char '\n' (In_channel.input_all ic) in
+  close_in ic;
+  Sys.remove in_path;
+  Sys.remove out_path;
+  let body =
+    match
+      List.find_map
+        (fun l ->
+          match Protocol.reply_of_line l with
+          | Ok (Protocol.Metrics (_, body)) -> Some body
+          | _ -> None)
+        replies
+    with
+    | Some b -> b
+    | None -> Alcotest.fail "no metrics reply"
+  in
+  let value name =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ n; v ] when n = name -> float_of_string_opt v
+        | _ -> None)
+      (String.split_on_char '\n' body)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " published") true
+        (match value name with Some v -> v > 0. | None -> false))
+    [ "sat_solves"; "encode_trans_constraints" ]
+
 (* The dump op returns the flight recorder as one JSON body; after a
    served request, the dump holds that request's records. *)
 let test_serve_channels_dump_op () =
@@ -1132,7 +1186,7 @@ let test_serve_channels_dump_op () =
   let oc = open_out in_path in
   output_string oc requests;
   close_out oc;
-  Sepsat_obs.Flight.reset ();
+  Obs.reset ();
   let engine = Engine.create ~workers:1 () in
   (* Serve one request to completion first (the protocol answers solves
      asynchronously, so an in-band solve could land after the dump). *)
@@ -1331,6 +1385,8 @@ let () =
             test_engine_stats_exemplars;
           Alcotest.test_case "metrics over the protocol" `Quick
             test_serve_channels_metrics_op;
+          Alcotest.test_case "metrics cover the solver and encoder" `Quick
+            test_serve_metrics_cover_pipeline;
           Alcotest.test_case "flight dump over the protocol" `Quick
             test_serve_channels_dump_op;
           Alcotest.test_case "GET /metrics over http" `Quick
