@@ -32,9 +32,8 @@
    its [bye]. Exit leaves no orphan processes and no socket files. *)
 
 module Ast = Sepsat_suf.Ast
-module Parse = Sepsat_suf.Parse
-module Smtlib = Sepsat_suf.Smtlib
 module Protocol = Sepsat_serve.Protocol
+module Engine = Sepsat_serve.Engine
 module Json = Sepsat_serve.Json
 module Obs = Sepsat_obs.Obs
 module Metrics = Sepsat_obs.Metrics
@@ -42,6 +41,8 @@ module Prom = Sepsat_obs.Prom
 module Window = Sepsat_obs.Window
 module Flight = Sepsat_obs.Flight
 module Clock = Sepsat_obs.Clock
+module Lineconn = Sepsat_serve.Lineconn
+module Peers = Sepsat_serve.Peers
 
 type config = {
   rc_socket : string;
@@ -69,7 +70,6 @@ type psolve = {
   ps_key : string;  (* digest|method — the cache key *)
   ps_rq : Protocol.solve_req;  (* carries the minted trace context *)
   ps_tried : int list;  (* backends this solve was already sent to *)
-  ps_t0 : float;
   ps_rid : string;  (* fleet-wide trace rid, minted once per request *)
   ps_recv_wall : float;  (* request arrival, Clock.pair *)
   ps_recv_mono : float;
@@ -90,7 +90,7 @@ type kind = K_solve of psolve | K_fan of fan
 
 type pending = { pd_backend : int; pd_kind : kind }
 
-type client = { cl_id : int; cl_conn : Lineconn.t }
+type role = Client | Backend of int
 
 (* Per-backend hop-time accumulator (summed ms + request count), the
    source of the per-backend hop columns in merged stats / `sufdec top`.
@@ -121,13 +121,9 @@ type t = {
   sup : Supervisor.t;
   store : Disk_cache.t option;
   ring : Ring.t;  (* static full membership; liveness filters at dispatch *)
-  poll : Poll.t;
-  listen_fd : Unix.file_descr;
-  clients : (int, client) Hashtbl.t;
-  by_fd : (Unix.file_descr, [ `Client of int | `Backend of int ]) Hashtbl.t;
+  peers : role Peers.t;  (* clients and backend connections *)
   bconns : Lineconn.t option array;
   pending : (string, pending) Hashtbl.t;
-  mutable next_client : int;
   mutable next_wire : int;
   mutable next_rid : int;
   hops : hop_acc array;  (* per backend, indexed like bconns *)
@@ -137,7 +133,6 @@ type t = {
   mutable busy : int;
   mutable errors : int;
   mutable redispatched : int;
-  mutable disk_writes : int;
   mutable draining : bool;
   mutable drain_requester : (int * string) option;
   mutable finished : bool;
@@ -172,71 +167,20 @@ let mint_rid t =
   t.next_rid <- t.next_rid + 1;
   Printf.sprintf "fl-%d-%d" (Unix.getpid ()) t.next_rid
 
-(* -- Client I/O ------------------------------------------------------------- *)
-
-let reply_client t cl_id reply =
-  match Hashtbl.find_opt t.clients cl_id with
-  | None -> ()  (* client went away; its replies evaporate *)
-  | Some cl -> Lineconn.enqueue cl.cl_conn (Protocol.reply_to_line reply)
-
-let drop_client t cl_id =
-  match Hashtbl.find_opt t.clients cl_id with
-  | None -> ()
-  | Some cl ->
-    Hashtbl.remove t.clients cl_id;
-    Hashtbl.remove t.by_fd (Lineconn.fd cl.cl_conn);
-    Poll.remove t.poll (Lineconn.fd cl.cl_conn);
-    Lineconn.close cl.cl_conn;
-    Metrics.set (Lazy.force m_clients) (float_of_int (Hashtbl.length t.clients))
-
-let accept_clients t =
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | exception
-        Unix.Unix_error
-          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED | Unix.EINTR), _, _)
-      ->
-      ()
-    | exception Unix.Unix_error (_, _, _) -> ()
-    | fd, _ ->
-      Unix.set_close_on_exec fd;
-      t.next_client <- t.next_client + 1;
-      let cl = { cl_id = t.next_client; cl_conn = Lineconn.create fd } in
-      Hashtbl.replace t.clients cl.cl_id cl;
-      Hashtbl.replace t.by_fd fd (`Client cl.cl_id);
-      Metrics.set (Lazy.force m_clients)
-        (float_of_int (Hashtbl.length t.clients));
-      loop ()
-  in
-  loop ()
-
 (* -- Backend connections ---------------------------------------------------- *)
 
 let disconnect_backend t i =
-  match t.bconns.(i) with
-  | None -> ()
-  | Some conn ->
-    Hashtbl.remove t.by_fd (Lineconn.fd conn);
-    Poll.remove t.poll (Lineconn.fd conn);
-    Lineconn.close conn;
-    t.bconns.(i) <- None
+  Option.iter (Peers.drop t.peers) t.bconns.(i);
+  t.bconns.(i) <- None
 
 let connect_backend t i =
   disconnect_backend t i;
-  let path = Supervisor.socket_path t.sup i in
-  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> false
-  | fd -> (
-    Unix.set_close_on_exec fd;
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | exception Unix.Unix_error _ ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      false
-    | () ->
-      let conn = Lineconn.create fd in
-      t.bconns.(i) <- Some conn;
-      Hashtbl.replace t.by_fd fd (`Backend i);
-      true)
+  match Lineconn.connect (Supervisor.socket_path t.sup i) with
+  | None -> false
+  | Some conn ->
+    t.bconns.(i) <- Some conn;
+    Peers.add t.peers (Backend i) conn;
+    true
 
 (* Replay this backend's share of the persistent cache into its fresh LRU.
    Warm requests carry the fixed id "warm"; their replies match no pending
@@ -269,29 +213,25 @@ let warm_backend t i =
       Obs.log Obs.Info "fleet: warmed backend %d with %d cached verdicts" i !sent
   | _ -> ()
 
-let live_backends t =
-  let out = ref [] in
-  for i = Supervisor.n t.sup - 1 downto 0 do
-    if Supervisor.is_up t.sup i && t.bconns.(i) <> None then out := i :: !out
-  done;
-  !out
+let live t b = Supervisor.is_up t.sup b && t.bconns.(b) <> None
 
 (* -- Solve dispatch --------------------------------------------------------- *)
+
+(* Every shed goes through here, so the [shed] of merged stats and the
+   [fleet.busy] counter cannot disagree. *)
+let shed t cl_id id =
+  t.busy <- t.busy + 1;
+  Metrics.incr (Lazy.force m_busy);
+  Peers.reply t.peers cl_id (Protocol.Busy id)
 
 let dispatch t (ps : psolve) =
   let candidates =
     List.filter
-      (fun b ->
-        Supervisor.is_up t.sup b
-        && t.bconns.(b) <> None
-        && not (List.mem b ps.ps_tried))
+      (fun b -> live t b && not (List.mem b ps.ps_tried))
       (Ring.lookup_order t.ring ps.ps_digest)
   in
   match candidates with
-  | [] ->
-    t.busy <- t.busy + 1;
-    Metrics.incr (Lazy.force m_busy);
-    reply_client t ps.ps_client (Protocol.Busy ps.ps_orig_id)
+  | [] -> shed t ps.ps_client ps.ps_orig_id
   | b :: _ ->
     let wire = mint_wire t in
     let sent_mono = Clock.mono_now () in
@@ -316,7 +256,7 @@ let redispatch t wire (ps : psolve) =
   if List.length ps.ps_tried >= t.cfg.rc_max_attempts then begin
     t.errors <- t.errors + 1;
     Metrics.incr (Lazy.force m_errors);
-    reply_client t ps.ps_client
+    Peers.reply t.peers ps.ps_client
       (Protocol.Error (ps.ps_orig_id, "backend lost during solve"))
   end
   else begin
@@ -573,7 +513,7 @@ let finish_fan t fan =
     | `Metrics -> Protocol.Metrics (fan.fan_orig_id, fan_merge_metrics fan)
     | `Dump -> Protocol.Dump (fan.fan_orig_id, fan_merge_dump fan)
   in
-  reply_client t fan.fan_client reply
+  Peers.reply t.peers fan.fan_client reply
 
 let fan_arrived t fan b reply =
   fan.fan_parts <- (b, reply) :: fan.fan_parts;
@@ -581,7 +521,7 @@ let fan_arrived t fan b reply =
   if fan.fan_waiting <= 0 then finish_fan t fan
 
 let start_fan t cl_id orig_id op =
-  let live = live_backends t in
+  let live = List.filter (live t) (List.init (Supervisor.n t.sup) Fun.id) in
   let fan =
     {
       fan_client = cl_id;
@@ -631,27 +571,11 @@ let backend_lost t i =
 
 (* -- Request handling ------------------------------------------------------- *)
 
-let parse_formula lang text =
-  let ctx = Ast.create_ctx () in
-  match lang with
-  | Protocol.Suf -> (
-    match Parse.formula ctx text with
-    | f -> Ok f
-    | exception Parse.Error msg -> Error ("parse error: " ^ msg))
-  | Protocol.Smt -> (
-    match Smtlib.script ctx text with
-    | script -> Ok (Smtlib.goal ctx script)
-    | exception Smtlib.Error msg -> Error ("smt-lib error: " ^ msg))
-
 let handle_solve t cl_id (rq : Protocol.solve_req) =
   Metrics.incr (Lazy.force m_requests);
-  if t.draining then begin
-    t.busy <- t.busy + 1;
-    reply_client t cl_id (Protocol.Busy rq.Protocol.sq_id)
-  end
+  if t.draining then shed t cl_id rq.Protocol.sq_id
   else begin
     let recv_wall, recv_mono = Clock.pair () in
-    let t0 = recv_wall in
     (* Trace context for the request's whole fleet crossing: adopt the
        client's context when it sent one (a client that is itself a hop),
        mint a fleet-unique rid otherwise. Installed once in ps_rq, it
@@ -666,12 +590,12 @@ let handle_solve t cl_id (rq : Protocol.solve_req) =
       { rq with Protocol.sq_trace = Some { Protocol.tc_rid = rid; tc_path = path } }
     in
     t.submitted <- t.submitted + 1;
-    match parse_formula rq.Protocol.sq_lang rq.Protocol.sq_text with
+    match Engine.parse rq.Protocol.sq_lang rq.Protocol.sq_text with
     | Error msg ->
       t.errors <- t.errors + 1;
       Metrics.incr (Lazy.force m_errors);
-      reply_client t cl_id (Protocol.Error (rq.Protocol.sq_id, msg))
-    | Ok formula -> (
+      Peers.reply t.peers cl_id (Protocol.Error (rq.Protocol.sq_id, msg))
+    | Ok (_, formula) -> (
       let parsed_mono = Clock.mono_now () in
       let parse_ms = (parsed_mono -. recv_mono) *. 1000. in
       Obs.record ~rid ~dur:(parse_ms /. 1e3) Obs.Span "hop.router_parse";
@@ -693,7 +617,7 @@ let handle_solve t cl_id (rq : Protocol.solve_req) =
         Obs.record ~rid ~dur:(ms /. 1e3)
           ~data:[ ("served_by", "cache") ]
           Obs.Span "fleet.request";
-        reply_client t cl_id
+        Peers.reply t.peers cl_id
           (Protocol.Ok_solve
              {
                Protocol.sv_id = rq.Protocol.sq_id;
@@ -728,7 +652,6 @@ let handle_solve t cl_id (rq : Protocol.solve_req) =
             ps_key = key;
             ps_rq = rq;
             ps_tried = [];
-            ps_t0 = t0;
             ps_rid = rid;
             ps_recv_wall = recv_wall;
             ps_recv_mono = recv_mono;
@@ -741,14 +664,15 @@ let begin_drain t requester =
   if not t.draining then begin
     t.draining <- true;
     t.drain_requester <- requester;
+    Peers.stop_accepting t.peers;
     Obs.log Obs.Info "fleet: draining (%d in flight)" (Hashtbl.length t.pending)
   end
 
 let handle_client_line t cl_id line =
   match Protocol.request_of_line line with
   | Error msg ->
-    reply_client t cl_id (Protocol.Error ("", "bad request: " ^ msg))
-  | Ok (Protocol.Ping id) -> reply_client t cl_id (Protocol.Pong id)
+    Peers.reply t.peers cl_id (Protocol.Error ("", "bad request: " ^ msg))
+  | Ok (Protocol.Ping id) -> Peers.reply t.peers cl_id (Protocol.Pong id)
   | Ok (Protocol.Shutdown id) -> begin_drain t (Some (cl_id, id))
   | Ok (Protocol.Stats_req id) -> start_fan t cl_id id `Stats
   | Ok (Protocol.Metrics_req id) -> start_fan t cl_id id `Metrics
@@ -758,7 +682,7 @@ let handle_client_line t cl_id line =
        the persistent cache (and through it, future backend warms). *)
     match t.store with
     | None ->
-      reply_client t cl_id
+      Peers.reply t.peers cl_id
         (Protocol.Error (w.Protocol.wr_id, "fleet has no persistent cache"))
     | Some store ->
       Disk_cache.put store w.Protocol.wr_key
@@ -767,7 +691,7 @@ let handle_client_line t cl_id line =
           d_witness = w.Protocol.wr_witness;
           d_solve_ms = w.Protocol.wr_solve_ms;
         };
-      reply_client t cl_id (Protocol.Warmed w.Protocol.wr_id))
+      Peers.reply t.peers cl_id (Protocol.Warmed w.Protocol.wr_id))
   | Ok (Protocol.Solve rq) -> handle_solve t cl_id rq
 
 let handle_backend_reply t b reply =
@@ -794,8 +718,7 @@ let handle_backend_reply t b reply =
               Disk_cache.d_verdict = s.Protocol.sv_verdict;
               d_witness = s.Protocol.sv_witness;
               d_solve_ms = s.Protocol.sv_solve_ms;
-            };
-          t.disk_writes <- t.disk_writes + 1
+            }
         | _ -> ());
         t.completed <- t.completed + 1;
         let send_wall, send_mono = Clock.pair () in
@@ -881,7 +804,7 @@ let handle_backend_reply t b reply =
             rt_send_mono = send_mono;
           }
         in
-        reply_client t ps.ps_client
+        Peers.reply t.peers ps.ps_client
           (Protocol.Ok_solve
              {
                s with
@@ -893,147 +816,48 @@ let handle_backend_reply t b reply =
         Hashtbl.remove t.pending wire;
         t.errors <- t.errors + 1;
         Metrics.incr (Lazy.force m_errors);
-        reply_client t ps.ps_client (Protocol.Error (ps.ps_orig_id, msg))
+        Peers.reply t.peers ps.ps_client (Protocol.Error (ps.ps_orig_id, msg))
       | Protocol.Pong _ | Protocol.Stats _ | Protocol.Metrics _
       | Protocol.Dump _ | Protocol.Bye _ | Protocol.Warmed _ ->
         Hashtbl.remove t.pending wire))
 
 (* -- The loop --------------------------------------------------------------- *)
 
-let rebuild_interest t =
-  Hashtbl.iter
-    (fun fd who ->
-      let conn =
-        match who with
-        | `Client id ->
-          Option.map (fun c -> c.cl_conn) (Hashtbl.find_opt t.clients id)
-        | `Backend i -> t.bconns.(i)
-      in
-      match conn with
-      | Some c -> Poll.set t.poll fd ~read:true ~write:(Lineconn.wants_write c)
-      | None -> Poll.remove t.poll fd)
-    t.by_fd;
-  Poll.set t.poll t.listen_fd ~read:(not t.draining) ~write:false
-
-(* After backends are down and the bye is queued, give the outbound client
-   buffers a bounded window to flush. *)
-let flush_clients_bounded t seconds =
-  let deadline = Unix.gettimeofday () +. seconds in
-  let rec loop () =
-    let pending_out =
-      Hashtbl.fold
-        (fun _ cl acc -> acc || Lineconn.wants_write cl.cl_conn)
-        t.clients false
-    in
-    if pending_out && Unix.gettimeofday () < deadline then begin
-      Hashtbl.iter
-        (fun _ cl -> ignore (Lineconn.on_writable cl.cl_conn))
-        t.clients;
-      Unix.sleepf 0.01;
-      loop ()
-    end
-  in
-  loop ()
-
-let shutdown_backends t =
-  (* Propagate the shutdown op over every live connection and flush it out
-     before the supervisor starts reaping — the voluntary-exit path. *)
-  Array.iteri
-    (fun i conn ->
-      match conn with
-      | Some c ->
-        Lineconn.enqueue c (Protocol.request_to_line (Protocol.Shutdown "fleet"));
-        ignore (Lineconn.on_writable c);
-        ignore i
-      | None -> ())
-    t.bconns;
-  let deadline = Unix.gettimeofday () +. 0.5 in
-  let rec flush_out () =
-    let busy =
-      Array.exists
-        (function Some c -> Lineconn.wants_write c | None -> false)
-        t.bconns
-    in
-    if busy && Unix.gettimeofday () < deadline then begin
-      Array.iter
-        (function Some c -> ignore (Lineconn.on_writable c) | None -> ())
-        t.bconns;
-      Unix.sleepf 0.01;
-      flush_out ()
-    end
-  in
-  flush_out ();
-  Supervisor.stop t.sup;
-  Array.iteri (fun i _ -> disconnect_backend t i) t.bconns
-
 let finish_shutdown t =
-  shutdown_backends t;
+  (* Propagate the shutdown op over every live backend connection and
+     flush it out before the supervisor starts reaping — the
+     voluntary-exit path. *)
+  let bye = Protocol.request_to_line (Protocol.Shutdown "fleet") in
+  Array.iter (Option.iter (fun c -> Lineconn.enqueue c bye)) t.bconns;
+  Peers.flush_bounded t.peers 0.5;
+  Supervisor.stop t.sup;
+  Array.iteri (fun i _ -> disconnect_backend t i) t.bconns;
   Option.iter Disk_cache.close t.store;
   (match t.drain_requester with
-  | Some (cl_id, id) -> reply_client t cl_id (Protocol.Bye id)
+  | Some (cl_id, id) -> Peers.reply t.peers cl_id (Protocol.Bye id)
   | None -> ());
-  flush_clients_bounded t 2.;
-  Hashtbl.iter (fun _ cl -> Lineconn.close cl.cl_conn) t.clients;
-  Hashtbl.reset t.clients;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (try Sys.remove t.cfg.rc_socket with Sys_error _ -> ());
+  Peers.flush_bounded t.peers 2.;
+  Peers.close t.peers;
   t.finished <- true;
   Obs.log Obs.Info "fleet: shut down cleanly"
 
-let handle_ready t (r : Poll.ready) =
-  if r.Poll.r_fd = t.listen_fd then begin
-    if r.Poll.r_readable then accept_clients t
-  end
-  else
-    match Hashtbl.find_opt t.by_fd r.Poll.r_fd with
-    | None -> Poll.remove t.poll r.Poll.r_fd
-    | Some (`Client cl_id) -> (
-      let conn =
-        Option.map (fun c -> c.cl_conn) (Hashtbl.find_opt t.clients cl_id)
-      in
-      match conn with
-      | None -> ()
-      | Some conn ->
-        (if r.Poll.r_writable then
-           match Lineconn.on_writable conn with
-           | `Closed -> drop_client t cl_id
-           | `Ok -> ());
-        if r.Poll.r_readable && Hashtbl.mem t.clients cl_id then (
-          match Lineconn.on_readable conn with
-          | `Closed -> drop_client t cl_id
-          | `Nothing -> ()
-          | `Lines lines ->
-            List.iter (fun l -> handle_client_line t cl_id l) lines))
-    | Some (`Backend i) -> (
-      match t.bconns.(i) with
-      | None -> ()
-      | Some conn ->
-        (if r.Poll.r_writable then
-           match Lineconn.on_writable conn with
-           | `Closed -> backend_lost t i
-           | `Ok -> ());
-        if t.bconns.(i) <> None then
-          if r.Poll.r_readable then (
-            match Lineconn.on_readable conn with
-            | `Closed -> backend_lost t i
-            | `Nothing -> ()
-            | `Lines lines ->
-              List.iter
-                (fun l ->
-                  match Protocol.reply_of_line l with
-                  | Ok reply -> handle_backend_reply t i reply
-                  | Error _ -> ())
-                lines))
+let on_lines t (p : role Peers.peer) lines =
+  match p.Peers.role with
+  | Client -> List.iter (handle_client_line t p.Peers.id) lines
+  | Backend i ->
+    List.iter
+      (fun l ->
+        match Protocol.reply_of_line l with
+        | Ok reply -> handle_backend_reply t i reply
+        | Error _ -> ())
+      lines
 
-let request_stop () = Atomic.set stop_flag true
+let on_end t (p : role Peers.peer) _ =
+  match p.Peers.role with Backend i -> backend_lost t i | Client -> ()
 
 let run cfg sup =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   Atomic.set stop_flag false;
-  let handle_term =
-    Sys.Signal_handle (fun _ -> Atomic.set stop_flag true)
-  in
+  let handle_term = Sys.Signal_handle (fun _ -> Atomic.set stop_flag true) in
   let prev_term = (try Some (Sys.signal Sys.sigterm handle_term) with _ -> None) in
   let prev_int = (try Some (Sys.signal Sys.sigint handle_term) with _ -> None) in
   Metrics.set_always_on true;
@@ -1051,25 +875,17 @@ let run cfg sup =
     Obs.log Obs.Info "fleet: persistent cache %s: %d verdicts loaded"
       (Option.get cfg.rc_cache_path) st.Disk_cache.s_loaded
   | None -> ());
-  (try Sys.remove cfg.rc_socket with Sys_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_close_on_exec listen_fd;
-  Unix.bind listen_fd (Unix.ADDR_UNIX cfg.rc_socket);
-  Unix.listen listen_fd 128;
-  Unix.set_nonblock listen_fd;
+  let peers = Peers.create () in
+  Peers.listen peers ~path:cfg.rc_socket Client;
   let t =
     {
       cfg;
       sup;
       store;
       ring = Ring.create (List.init (Supervisor.n sup) Fun.id);
-      poll = Poll.create ();
-      listen_fd;
-      clients = Hashtbl.create 64;
-      by_fd = Hashtbl.create 64;
+      peers;
       bconns = Array.make (Supervisor.n sup) None;
       pending = Hashtbl.create 64;
-      next_client = 0;
       next_wire = 0;
       next_rid = 0;
       hops = Array.init (Supervisor.n sup) (fun _ -> fresh_hop_acc ());
@@ -1079,7 +895,6 @@ let run cfg sup =
       busy = 0;
       errors = 0;
       redispatched = 0;
-      disk_writes = 0;
       draining = false;
       drain_requester = None;
       finished = false;
@@ -1104,25 +919,10 @@ let run cfg sup =
     if Atomic.get stop_flag then begin_drain t None;
     if t.draining && Hashtbl.length t.pending = 0 then finish_shutdown t
     else begin
-      rebuild_interest t;
-      let ready = Poll.wait t.poll ~timeout_s:cfg.rc_poll_s in
-      List.iter (handle_ready t) ready;
-      (* Opportunistic flush: replies enqueued this round go out now
-         rather than one poll interval later. *)
-      Hashtbl.iter
-        (fun _ cl ->
-          if Lineconn.wants_write cl.cl_conn then
-            ignore (Lineconn.on_writable cl.cl_conn))
-        t.clients;
-      Array.iteri
-        (fun i conn ->
-          match conn with
-          | Some c when Lineconn.wants_write c -> (
-            match Lineconn.on_writable c with
-            | `Closed -> backend_lost t i
-            | `Ok -> ())
-          | _ -> ())
-        t.bconns
+      Peers.step t.peers ~timeout_s:cfg.rc_poll_s ~on_lines:(on_lines t)
+        ~on_end:(on_end t);
+      Metrics.set (Lazy.force m_clients)
+        (float_of_int (Peers.count t.peers (fun p -> p.Peers.role = Client)))
     end
   done;
   (match prev_term with Some b -> (try Sys.set_signal Sys.sigterm b with _ -> ()) | None -> ());

@@ -25,11 +25,7 @@ val default_config :
 (** 4096-entry warm replay, 0.2 s poll, 3 dispatch attempts. *)
 
 val run : config -> Supervisor.t -> unit
-(** Bind the socket and serve until a [shutdown] op or {!request_stop}
-    (also wired to SIGTERM/SIGINT for the duration). Owns the supervisor:
+(** Bind the socket and serve until a [shutdown] op or SIGTERM/SIGINT
+    (handled for the duration). Owns the supervisor:
     ticks it every loop iteration and stops it — reaping every backend —
     before returning. *)
-
-val request_stop : unit -> unit
-(** Ask a running {!run} to drain and exit, from a signal handler or
-    another thread. *)

@@ -5,9 +5,9 @@
    The supervisor is driven, not threaded: the router calls [tick] once per
    poll-loop iteration and reacts to the returned events. Everything in a
    tick is non-blocking or tightly bounded — child reaping is
-   [waitpid WNOHANG], a health probe is one connect+ping with 1 s socket
-   timeouts, and a probe happens at most once per tick per starting
-   backend — so supervision never stalls request traffic.
+   [waitpid WNOHANG], a health probe is one connect+ping bounded by 1 s,
+   and a probe happens at most once per tick per starting backend — so
+   supervision never stalls request traffic.
 
    Backend lifecycle:
 
@@ -22,6 +22,8 @@
    check keeps escalating instead of hot-looping. *)
 
 module Obs = Sepsat_obs.Obs
+module Lineconn = Sepsat_serve.Lineconn
+module Protocol = Sepsat_serve.Protocol
 
 type config = {
   exe : string;  (* the sufdec binary; children are [exe :: args i sock] *)
@@ -102,53 +104,31 @@ let spawn t bk =
   Obs.log Obs.Info "fleet: backend %d spawned (pid %d, %s)" bk.bk_index pid
     bk.bk_socket
 
-(* One connect+ping round trip with 1 s socket timeouts: cheap enough to
-   run once per tick, bounded enough never to wedge the loop. *)
+(* One connect+ping round trip bounded by 1 s: cheap enough to run once
+   per tick, bounded enough never to wedge the loop. *)
 let health_ping path =
-  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> false
-  | fd -> (
-    Unix.set_close_on_exec fd;
-    let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | exception Unix.Unix_error _ ->
-      finally ();
-      false
-    | () -> (
-      try
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
-        let line = "{\"op\":\"ping\",\"id\":\"hc\"}\n" in
-        let _ =
-          Unix.write_substring fd line 0 (String.length line)
-        in
-        let buf = Bytes.create 256 in
-        let reply = Buffer.create 64 in
-        let rec read_line () =
-          match Unix.read fd buf 0 (Bytes.length buf) with
-          | 0 -> false
-          | n ->
-            Buffer.add_subbytes reply buf 0 n;
-            if String.contains (Buffer.contents reply) '\n' then true
-            else read_line ()
-        in
-        let got = read_line () in
-        finally ();
-        got
-        &&
-        (* Any one-line answer to a ping proves the accept loop and the
-           protocol thread are alive; pong is what a healthy server says. *)
-        let s = Buffer.contents reply in
-        let has_pong =
-          let pat = "pong" in
-          let n = String.length s and m = String.length pat in
-          let rec find i = i + m <= n && (String.sub s i m = pat || find (i + 1)) in
-          find 0
-        in
-        has_pong
-      with Unix.Unix_error _ | Sys_error _ ->
-        finally ();
-        false))
+  match Lineconn.connect path with
+  | None -> false
+  | Some c ->
+    Lineconn.enqueue c (Protocol.request_to_line (Protocol.Ping "hc"));
+    let deadline = Unix.gettimeofday () +. 1. in
+    let rec pong () =
+      let left = deadline -. Unix.gettimeofday () in
+      left > 0.
+      && Lineconn.on_writable c = `Ok
+      &&
+      match Unix.select [ Lineconn.fd c ] [] [] left with
+      | exception Unix.Unix_error _ -> false
+      | [], _, _ -> false
+      | _ -> (
+        match Lineconn.on_readable c with
+        | `Nothing -> pong ()
+        | `Lines (l :: _) -> Protocol.reply_of_line l = Ok (Protocol.Pong "hc")
+        | _ -> false)
+    in
+    let ok = pong () in
+    Lineconn.close c;
+    ok
 
 let start cfg =
   if cfg.n_backends < 1 then invalid_arg "Supervisor.start: n_backends < 1";

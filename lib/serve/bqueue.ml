@@ -18,18 +18,8 @@ let create ~capacity =
     closed = false;
   }
 
-let with_lock q f =
-  Mutex.lock q.mu;
-  match f () with
-  | v ->
-    Mutex.unlock q.mu;
-    v
-  | exception e ->
-    Mutex.unlock q.mu;
-    raise e
-
 let try_push q x =
-  with_lock q (fun () ->
+  Mutex.protect q.mu (fun () ->
       if q.closed || Queue.length q.items >= q.cap then false
       else begin
         Queue.push x q.items;
@@ -38,7 +28,7 @@ let try_push q x =
       end)
 
 let push q x =
-  with_lock q (fun () ->
+  Mutex.protect q.mu (fun () ->
       while (not q.closed) && Queue.length q.items >= q.cap do
         Condition.wait q.not_full q.mu
       done;
@@ -50,7 +40,7 @@ let push q x =
       end)
 
 let pop q =
-  with_lock q (fun () ->
+  Mutex.protect q.mu (fun () ->
       while (not q.closed) && Queue.is_empty q.items do
         Condition.wait q.not_empty q.mu
       done;
@@ -62,11 +52,11 @@ let pop q =
       end)
 
 let close q =
-  with_lock q (fun () ->
+  Mutex.protect q.mu (fun () ->
       q.closed <- true;
       Condition.broadcast q.not_empty;
       Condition.broadcast q.not_full)
 
-let length q = with_lock q (fun () -> Queue.length q.items)
+let length q = Mutex.protect q.mu (fun () -> Queue.length q.items)
 
 let capacity q = q.cap

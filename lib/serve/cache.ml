@@ -56,16 +56,6 @@ let create ?(shards = 16) ~capacity () =
 
 let shard_of c key = c.shards.(Hashtbl.hash key mod Array.length c.shards)
 
-let with_lock mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-    Mutex.unlock mu;
-    v
-  | exception e ->
-    Mutex.unlock mu;
-    raise e
-
 (* -- Recency list (callers hold the shard lock) ---------------------------- *)
 
 let unlink sh n =
@@ -84,7 +74,7 @@ let push_front sh n =
 
 let find c key =
   let sh = shard_of c key in
-  with_lock sh.mu (fun () ->
+  Mutex.protect sh.mu (fun () ->
       match Hashtbl.find_opt sh.tbl key with
       | Some n ->
         unlink sh n;
@@ -98,7 +88,7 @@ let find c key =
 let add c key v =
   let sh = shard_of c key in
   if sh.cap > 0 then
-    with_lock sh.mu (fun () ->
+    Mutex.protect sh.mu (fun () ->
         (match Hashtbl.find_opt sh.tbl key with
         | Some n ->
           n.nval <- v;
@@ -130,7 +120,7 @@ let find_or_compute c key ~compute =
       Mutex.unlock c.inflight_mu;
       Atomic.incr c.joins;
       let r =
-        with_lock fl.fmu (fun () ->
+        Mutex.protect fl.fmu (fun () ->
             while fl.fresult = None do
               Condition.wait fl.fcv fl.fmu
             done;
@@ -149,11 +139,11 @@ let find_or_compute c key ~compute =
       | Error _ -> ());
       (* Publish before clearing the in-flight entry: a joiner that already
          holds [fl] sees the result; later arrivals go through the cache. *)
-      with_lock fl.fmu (fun () ->
+      Mutex.protect fl.fmu (fun () ->
           fl.fresult <-
             Some (match result with Ok (v, _) -> Ok v | Error e -> Error e);
           Condition.broadcast fl.fcv);
-      with_lock c.inflight_mu (fun () -> Hashtbl.remove c.inflight key);
+      Mutex.protect c.inflight_mu (fun () -> Hashtbl.remove c.inflight key);
       match result with Ok (v, _) -> (v, Computed) | Error e -> raise e))
 
 type stats = {
@@ -169,7 +159,7 @@ let stats c =
   let size = ref 0 and capacity = ref 0 in
   Array.iter
     (fun sh ->
-      with_lock sh.mu (fun () ->
+      Mutex.protect sh.mu (fun () ->
           size := !size + sh.size;
           capacity := !capacity + sh.cap))
     c.shards;
@@ -185,7 +175,7 @@ let stats c =
 let clear c =
   Array.iter
     (fun sh ->
-      with_lock sh.mu (fun () ->
+      Mutex.protect sh.mu (fun () ->
           Hashtbl.reset sh.tbl;
           sh.head <- None;
           sh.tail <- None;

@@ -135,15 +135,15 @@ let witness_digest = function
     Some (Digest.to_hex (Digest.string (Buffer.contents buf)))
   | Verdict.Valid | Verdict.Unknown _ -> None
 
-let parse_job jb =
+let parse lang text =
   let ctx = Ast.create_ctx () in
-  match jb.jb_lang with
+  match lang with
   | Protocol.Suf -> (
-    match Parse.formula ctx jb.jb_text with
+    match Parse.formula ctx text with
     | f -> Ok (ctx, f)
     | exception Parse.Error msg -> Error ("parse error: " ^ msg))
   | Protocol.Smt -> (
-    match Smtlib.script ctx jb.jb_text with
+    match Smtlib.script ctx text with
     | script -> Ok (ctx, Smtlib.goal ctx script)
     | exception Smtlib.Error msg -> Error ("smt-lib error: " ^ msg))
 
@@ -174,7 +174,10 @@ let process t (jb : job) : reply =
             Log.F (Option.value jb.jb_timeout_s ~default:t.default_timeout_s)
           );
         ];
-      match Obs.span ~cat:"serve" "serve.parse" (fun () -> parse_job jb) with
+      match
+        Obs.span ~cat:"serve" "serve.parse" (fun () ->
+            parse jb.jb_lang jb.jb_text)
+      with
       | Error msg ->
         Atomic.incr t.errors;
         Metrics.incr (Lazy.force m_errors);
@@ -390,10 +393,9 @@ let solve ?(block = false) t jb =
   let cv = Condition.create () in
   let slot = ref None in
   let cb reply =
-    Mutex.lock mu;
-    slot := Some reply;
-    Condition.signal cv;
-    Mutex.unlock mu
+    Mutex.protect mu (fun () ->
+        slot := Some reply;
+        Condition.signal cv)
   in
   let accepted =
     if block then begin
@@ -411,13 +413,11 @@ let solve ?(block = false) t jb =
   in
   if not accepted then None
   else begin
-    Mutex.lock mu;
-    while !slot = None do
-      Condition.wait cv mu
-    done;
-    let r = !slot in
-    Mutex.unlock mu;
-    r
+    Mutex.protect mu (fun () ->
+        while !slot = None do
+          Condition.wait cv mu
+        done;
+        !slot)
   end
 
 let queue_depth t = Bqueue.length t.queue
@@ -542,10 +542,7 @@ let stats_json t =
     ]
 
 let shutdown ?(cancel_inflight = true) t =
-  Mutex.lock t.shutdown_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.shutdown_mu)
-    (fun () ->
+  Mutex.protect t.shutdown_mu (fun () ->
       if cancel_inflight then Atomic.set t.stop true;
       Bqueue.close t.queue;
       Array.iter Domain.join t.domains;

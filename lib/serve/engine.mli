@@ -94,6 +94,13 @@ type backend =
 val default_backend : backend
 (** [Decide.decide]'s verdict. *)
 
+val parse :
+  Protocol.lang ->
+  string ->
+  (Sepsat_suf.Ast.ctx * Sepsat_suf.Ast.formula, string) result
+(** Parse request text into a fresh context, as a worker does; [Error]
+    carries the front-end message a reply reports. *)
+
 type t
 
 val create :

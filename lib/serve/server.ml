@@ -2,16 +2,6 @@ module Obs = Sepsat_obs.Obs
 module Prom = Sepsat_obs.Prom
 module Clock = Sepsat_obs.Clock
 
-let with_lock mu f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-    Mutex.unlock mu;
-    v
-  | exception e ->
-    Mutex.unlock mu;
-    raise e
-
 let solved_of_outcome ?trace id (o : Engine.outcome) =
   Protocol.Ok_solve
     {
@@ -46,217 +36,187 @@ let reply_trace_of (tc : Protocol.trace_ctx) ~recv_wall ~recv_mono
     rt_send_mono = send_mono;
   }
 
-let serve_channels eng ic oc =
-  let out_mu = Mutex.create () in
-  (* Out-standing submissions: the loop must not return (and the channels
-     must not be torn down) while worker callbacks still owe replies. *)
-  let pend_mu = Mutex.create () in
-  let pend_cv = Condition.create () in
-  let pending = ref 0 in
-  let send reply =
-    (* A vanished peer (EPIPE surfaces as Sys_error on channels) only costs
-       the peer its replies; the serving loop keeps its invariants. *)
-    try
-      with_lock out_mu (fun () ->
-          output_string oc (Protocol.reply_to_line reply);
-          output_char oc '\n';
-          flush oc)
-    with Sys_error _ -> ()
+let job_of (rq : Protocol.solve_req) =
+  (* A wire trace context wins over local minting: the job adopts the
+     fleet rid and hop path so everything recorded while serving it
+     answers to the fleet-wide id. *)
+  let rid, path =
+    match rq.Protocol.sq_trace with
+    | Some tc -> (Some tc.Protocol.tc_rid, tc.Protocol.tc_path)
+    | None -> (None, [])
   in
-  let job_of (rq : Protocol.solve_req) =
-    (* A wire trace context wins over local minting: the job adopts the
-       fleet rid and hop path so everything recorded while serving it
-       answers to the fleet-wide id. *)
-    let rid, path =
-      match rq.Protocol.sq_trace with
-      | Some tc -> (Some tc.Protocol.tc_rid, tc.Protocol.tc_path)
-      | None -> (None, [])
-    in
-    Engine.job ~lang:rq.Protocol.sq_lang ~method_:rq.Protocol.sq_method
-      ?timeout_s:rq.Protocol.sq_timeout_s ~id:rq.Protocol.sq_id ?rid ~path
-      rq.Protocol.sq_text
+  Engine.job ~lang:rq.Protocol.sq_lang ~method_:rq.Protocol.sq_method
+    ?timeout_s:rq.Protocol.sq_timeout_s ~id:rq.Protocol.sq_id ?rid ~path
+    rq.Protocol.sq_text
+
+(* A minimal HTTP/1.0 responder so a stock Prometheus (or curl
+   --unix-socket) can scrape without speaking the JSON-lines protocol: one
+   response per connection, answered as soon as the request line is in. *)
+let http_response status content_type body =
+  Printf.sprintf
+    "HTTP/1.0 %s\r\nContent-Type: %s; charset=utf-8\r\n\
+     Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+    status content_type (String.length body) body
+
+let scrape_response request_line =
+  match String.split_on_char ' ' (String.trim request_line) with
+  | "GET" :: target :: _ when target = "/metrics" || target = "/" ->
+    http_response "200 OK" Prom.content_type (Prom.current ())
+  | _ -> http_response "404 Not Found" "text/plain" "not found\n"
+
+type role = Client | Scrape
+
+type io = Listen of string | Stdio of Unix.file_descr * Unix.file_descr
+
+(* The serving loop. One thread owns every connection; the engine's worker
+   domains never touch one. A worker queues its finished reply on [done_q]
+   and, under the same lock, writes a byte down the wake pipe the loop
+   polls with everything else. The loop drains the pipe before it takes
+   the queue, so no reply waits on a wake-up it already consumed; and once
+   every owed reply is taken no worker will touch the pipe again, so it
+   can be closed. *)
+let run ~metrics_path eng io =
+  let peers = Peers.create () in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let done_mu = Mutex.create () and done_q = ref [] in
+  let complete peer finish =
+    Mutex.protect done_mu (fun () ->
+        done_q := (peer, finish) :: !done_q;
+        try ignore (Unix.single_write_substring wake_w "!" 0 1)
+        with Unix.Unix_error _ -> ()  (* a full pipe wakes the loop anyway *))
   in
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> `Eof
-    | exception Sys_error _ -> `Eof
-    | line -> (
-      if String.trim line = "" then loop ()
+  let inflight = ref 0 and wake_buf = Bytes.create 64 in
+  Peers.watch peers wake_r (fun () ->
+      (try while Unix.read wake_r wake_buf 0 64 > 0 do () done
+       with Unix.Unix_error _ -> ());
+      let batch =
+        Mutex.protect done_mu (fun () ->
+            let l = !done_q in
+            done_q := [];
+            l)
+      in
+      List.iter
+        (fun ((p : role Peers.peer), finish) ->
+          decr inflight;
+          p.Peers.owed <- p.Peers.owed - 1;
+          Peers.reply peers p.Peers.id (finish ()))
+        (List.rev batch));
+  (* [shutdown], or the end of the stdio stream: accept and read no more,
+     then leave the loop once every owed reply is out. *)
+  let stopping = ref false and result = ref `Eof in
+  let stop () =
+    stopping := true;
+    Peers.stop_accepting peers;
+    Peers.iter peers (fun p -> p.Peers.reading <- false)
+  in
+  let handle (p : role Peers.peer) line =
+    let send = Peers.reply peers p.Peers.id in
+    match Protocol.request_of_line line with
+    | Error msg -> send (Protocol.Error ("", "bad request: " ^ msg))
+    | Ok (Protocol.Ping id) -> send (Protocol.Pong id)
+    | Ok (Protocol.Stats_req id) ->
+      send (Protocol.Stats (id, Engine.stats_json eng))
+    | Ok (Protocol.Metrics_req id) ->
+      send (Protocol.Metrics (id, Prom.current ()))
+    | Ok (Protocol.Dump_req id) ->
+      send (Protocol.Dump (id, Sepsat_obs.Flight.to_json ()))
+    | Ok (Protocol.Shutdown id) ->
+      send (Protocol.Bye id);
+      Obs.log Obs.Info "serve: shutdown requested";
+      result := `Shutdown;
+      stop ()
+    | Ok (Protocol.Warm w) ->
+      if
+        Engine.warm eng ~key:w.Protocol.wr_key ~verdict:w.Protocol.wr_verdict
+          ~witness:w.Protocol.wr_witness ~solve_ms:w.Protocol.wr_solve_ms
+      then send (Protocol.Warmed w.Protocol.wr_id)
       else
-        match Protocol.request_of_line line with
-        | Error msg ->
-          send (Protocol.Error ("", "bad request: " ^ msg));
-          loop ()
-        | Ok (Protocol.Ping id) ->
-          send (Protocol.Pong id);
-          loop ()
-        | Ok (Protocol.Stats_req id) ->
-          send (Protocol.Stats (id, Engine.stats_json eng));
-          loop ()
-        | Ok (Protocol.Metrics_req id) ->
-          send (Protocol.Metrics (id, Prom.current ()));
-          loop ()
-        | Ok (Protocol.Dump_req id) ->
-          send (Protocol.Dump (id, Sepsat_obs.Flight.to_json ()));
-          loop ()
-        | Ok (Protocol.Shutdown id) ->
-          send (Protocol.Bye id);
-          `Shutdown
-        | Ok (Protocol.Warm w) ->
-          if
-            Engine.warm eng ~key:w.Protocol.wr_key
-              ~verdict:w.Protocol.wr_verdict ~witness:w.Protocol.wr_witness
-              ~solve_ms:w.Protocol.wr_solve_ms
-          then send (Protocol.Warmed w.Protocol.wr_id)
-          else
-            send
-              (Protocol.Error
-                 (w.Protocol.wr_id, "warm requires a decisive verdict"));
-          loop ()
-        | Ok (Protocol.Solve rq) ->
-          let id = rq.Protocol.sq_id in
-          let recv_wall, recv_mono = Clock.pair () in
-          with_lock pend_mu (fun () -> incr pending);
-          let cb (reply : Engine.reply) =
-            (match reply with
+        send
+          (Protocol.Error
+             (w.Protocol.wr_id, "warm requires a decisive verdict"))
+    | Ok (Protocol.Solve rq) ->
+      let id = rq.Protocol.sq_id in
+      let recv_wall, recv_mono = Clock.pair () in
+      let cb (reply : Engine.reply) =
+        complete p (fun () ->
+            match reply with
             | Ok o ->
               let trace =
                 Option.map
                   (fun tc -> reply_trace_of tc ~recv_wall ~recv_mono o)
                   rq.Protocol.sq_trace
               in
-              send (solved_of_outcome ?trace id o)
-            | Error msg -> send (Protocol.Error (id, msg)));
-            with_lock pend_mu (fun () ->
-                decr pending;
-                Condition.signal pend_cv)
-          in
-          if not (Engine.submit eng (job_of rq) cb) then begin
-            with_lock pend_mu (fun () ->
-                decr pending;
-                Condition.signal pend_cv);
-            send (Protocol.Busy id)
-          end;
-          loop ())
-  in
-  let res = loop () in
-  with_lock pend_mu (fun () ->
-      while !pending > 0 do
-        Condition.wait pend_cv pend_mu
-      done);
-  res
-
-(* -- Metrics scrape listener ----------------------------------------------- *)
-
-(* A minimal HTTP/1.0 responder so a stock Prometheus (or curl
-   --unix-socket) can scrape without speaking the JSON-lines protocol.
-   Scrapes are rare, tiny and read-only, so connections are handled
-   serially on the listener thread — no per-connection threads, no
-   keep-alive, close after one response. *)
-let http_respond oc status content_type body =
-  Printf.fprintf oc
-    "HTTP/1.0 %s\r\n\
-     Content-Type: %s; charset=utf-8\r\n\
-     Content-Length: %d\r\n\
-     Connection: close\r\n\
-     \r\n\
-     %s"
-    status content_type (String.length body) body;
-  flush oc
-
-let handle_scrape cfd =
-  let ic = Unix.in_channel_of_descr cfd in
-  let oc = Unix.out_channel_of_descr cfd in
-  (try
-     let request_line = input_line ic in
-     (* Drain headers to the blank line; we need none of them. *)
-     (try
-        while String.trim (input_line ic) <> "" do
-          ()
-        done
-      with End_of_file -> ());
-     match String.split_on_char ' ' (String.trim request_line) with
-     | "GET" :: target :: _ when target = "/metrics" || target = "/" ->
-       http_respond oc "200 OK" Prom.content_type (Prom.current ())
-     | _ -> http_respond oc "404 Not Found" "text/plain" "not found\n"
-   with End_of_file | Sys_error _ -> ());
-  try Unix.close cfd with Unix.Unix_error _ -> ()
-
-let serve_metrics ~path ~stop =
-  (try Sys.remove path with Sys_error _ -> ());
-  (* Bind before spawning: when this returns, the socket exists and a
-     scraper may connect immediately. *)
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX path);
-  Unix.listen listen_fd 16;
-  Obs.log Obs.Info "serve: metrics on %s" path;
-  Thread.create
-    (fun () ->
-      let rec loop () =
-        if not (Atomic.get stop) then begin
-          (match Unix.select [ listen_fd ] [] [] 0.25 with
-          | [], _, _ -> ()
-          | _ :: _, _, _ -> (
-            match Unix.accept listen_fd with
-            | exception
-                Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-              ()
-            | cfd, _ -> ( try handle_scrape cfd with _ -> ()))
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          loop ()
-        end
+              solved_of_outcome ?trace id o
+            | Error msg -> Protocol.Error (id, msg))
       in
-      loop ();
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      try Sys.remove path with Sys_error _ -> ())
-    ()
+      if Engine.submit eng (job_of rq) cb then begin
+        incr inflight;
+        p.Peers.owed <- p.Peers.owed + 1
+      end
+      else send (Protocol.Busy id)
+  in
+  let on_lines (p : role Peers.peer) lines =
+    match (p.Peers.role, lines) with
+    | Scrape, l :: _ ->
+      Lineconn.write p.Peers.conn (scrape_response l);
+      Lineconn.finish p.Peers.conn
+    | Scrape, [] -> ()
+    | Client, _ -> List.iter (fun l -> if p.Peers.reading then handle p l) lines
+  in
+  (* A stdio stream is the server's one client: its end is a shutdown,
+     and the loop runs until that client is closed, queue drained. *)
+  let stdio = match io with Stdio _ -> true | Listen _ -> false in
+  let on_end (p : role Peers.peer) _ =
+    if stdio && p.Peers.role = Client then stop ()
+  in
+  let finished () =
+    !stopping && !inflight = 0
+    && not (stdio && Peers.count peers (fun p -> p.Peers.role = Client) > 0)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Peers.close peers;
+      (* Left open if the loop died owing replies: a worker may still write. *)
+      if !inflight = 0 then List.iter Unix.close [ wake_r; wake_w ])
+    (fun () ->
+      (match io with
+      | Listen path ->
+        Peers.listen peers ~path Client;
+        Obs.log Obs.Info "serve: listening on %s" path
+      | Stdio (input, output) ->
+        Peers.add peers Client (Lineconn.of_fds ~input ~output));
+      Option.iter
+        (fun path ->
+          Peers.listen peers ~path Scrape;
+          Obs.log Obs.Info "serve: metrics on %s" path)
+        metrics_path;
+      while not (finished ()) do
+        Peers.step peers ~timeout_s:1.0 ~on_lines ~on_end
+      done;
+      Peers.flush_bounded peers 2.);
+  !result
+
+(* The loop works on duplicates of the channels' descriptors, so closing
+   them leaves the caller's channels open; O_NONBLOCK lives on the shared
+   open file, so the originals are put back in blocking mode. *)
+let serve_fds ~metrics_path eng ic oc =
+  flush oc;
+  let input = Unix.descr_of_in_channel ic
+  and output = Unix.descr_of_out_channel oc in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.clear_nonblock fd with Unix.Unix_error _ -> ())
+        [ input; output ])
+    (fun () ->
+      run ~metrics_path eng
+        (Stdio (Unix.dup ~cloexec:true input, Unix.dup ~cloexec:true output)))
+
+let serve_channels eng ic oc = serve_fds ~metrics_path:None eng ic oc
+
+let serve_stdio eng ~metrics_path = serve_fds ~metrics_path eng stdin stdout
 
 let serve_unix ?metrics_path eng ~path =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  (try Sys.remove path with Sys_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX path);
-  Unix.listen listen_fd 64;
-  let stopping = Atomic.make false in
-  let metrics_th =
-    Option.map (fun p -> serve_metrics ~path:p ~stop:stopping) metrics_path
-  in
-  let conns_mu = Mutex.create () in
-  let conns = ref [] in
-  let handle cfd =
-    let ic = Unix.in_channel_of_descr cfd in
-    let oc = Unix.out_channel_of_descr cfd in
-    let res = try serve_channels eng ic oc with _ -> `Eof in
-    (try flush oc with Sys_error _ -> ());
-    (try Unix.close cfd with Unix.Unix_error _ -> ());
-    if res = `Shutdown then begin
-      Atomic.set stopping true;
-      Obs.log Obs.Info "serve: shutdown requested"
-    end
-  in
-  (* Poll-accept so a shutdown arriving on any connection stops the
-     listener within one poll interval — closing a blocked accept(2) from
-     another thread is not portable. *)
-  let rec accept_loop () =
-    if not (Atomic.get stopping) then begin
-      (match Unix.select [ listen_fd ] [] [] 0.25 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept listen_fd with
-        | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _)
-          ->
-          ()
-        | cfd, _ ->
-          let th = Thread.create handle cfd in
-          with_lock conns_mu (fun () -> conns := th :: !conns))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      accept_loop ()
-    end
-  in
-  Obs.log Obs.Info "serve: listening on %s" path;
-  accept_loop ();
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  List.iter Thread.join (with_lock conns_mu (fun () -> !conns));
-  Option.iter Thread.join metrics_th;
-  try Sys.remove path with Sys_error _ -> ()
+  ignore (run ~metrics_path eng (Listen path))

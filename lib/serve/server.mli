@@ -1,37 +1,35 @@
-(** Protocol front ends over an {!Engine}: a stdio loop and a Unix-domain
-    socket listener.
+(** Protocol front ends over an {!Engine}: stdio and a Unix-domain socket,
+    each one single-threaded poll loop on {!Peers}, the connection layer
+    the fleet router runs on too.
 
     Both speak the JSON-lines protocol of {!Protocol}. Requests are
     submitted asynchronously, so one connection can pipeline: replies carry
-    the request's [id] and may arrive out of order. Backpressure is the
-    engine's: when its bounded queue is full the server answers
-    [{"status":"busy"}] immediately instead of buffering — clients retry or
-    slow down, the server's memory does not grow with offered load. A
-    [shutdown] request stops the loop (and, for the socket listener, the
-    accept loop); the caller still owns the engine and decides when to
-    {!Engine.shutdown} it. *)
+    the request's [id] and may arrive out of order. Worker domains never
+    write to a connection; they hand finished replies to the loop. When
+    the engine's bounded queue is full the server answers
+    [{"status":"busy"}] at once instead of buffering. A request line over
+    {!Lineconn.max_line_bytes} gets one [error] reply with an empty id and
+    its connection is closed after the flush. [shutdown] stops accepting
+    and reading, waits for the replies still owed, flushes them (within a
+    bound) and closes; the caller still owns the engine. *)
 
 val serve_channels :
   Engine.t -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
-(** Serve one JSON-lines stream until end-of-input or a [shutdown] request.
-    Waits for every in-flight reply before returning, so the stream is
-    complete when this returns. Blank lines are ignored; malformed lines
-    get an [error] reply with an empty id. *)
+(** Serve one JSON-lines stream until end-of-input or a [shutdown] request,
+    and every in-flight reply. Blank lines are ignored; malformed lines get
+    an [error] reply with an empty id; a last line without a newline is
+    served. The channels stay open, their descriptors in blocking mode. *)
+
+val serve_stdio : Engine.t -> metrics_path:string option -> [ `Eof | `Shutdown ]
+(** {!serve_channels} on stdin/stdout, with {!serve_unix}'s scrape
+    listener at [metrics_path] on the same loop. *)
 
 val serve_unix : ?metrics_path:string -> Engine.t -> path:string -> unit
-(** Listen on a Unix-domain socket, one system thread per connection (the
-    heavy lifting happens on the engine's worker domains; connection
-    threads only shuttle lines). An existing socket file at [path] is
-    replaced. Returns after a [shutdown] request once every accepted
-    connection has drained, and removes the socket file. SIGPIPE is
-    ignored; a client that disconnects mid-reply only loses its own
-    connection. With [metrics_path] a second socket serves plaintext
-    [GET /metrics] (see {!serve_metrics}) until the same shutdown. *)
-
-val serve_metrics : path:string -> stop:bool Atomic.t -> Thread.t
-(** Serve Prometheus scrapes ([GET /metrics], HTTP/1.0, one response per
-    connection) on a Unix-domain socket, e.g. for
-    [curl --unix-socket PATH http://localhost/metrics]. The socket is bound
-    before this returns, so a scraper may connect immediately. The returned
-    thread polls [stop] (4 Hz) and on stop closes the listener and removes
-    the socket file; join it after raising the flag. *)
+(** Listen on a Unix-domain socket, replacing a socket file at [path], until
+    a [shutdown] on any connection — idle ones do not hold it up — then
+    remove the socket file. A client that disconnects mid-reply only loses
+    its own connection. With [metrics_path] a second listener serves
+    Prometheus scrapes ([GET /metrics], HTTP/1.0, e.g.
+    [curl --unix-socket PATH http://localhost/metrics]): answered once the
+    request line is in, then half-closed, then closed on the scraper's
+    EOF. *)

@@ -6,8 +6,8 @@
    SIGKILL mid-load and a warm restart. *)
 
 module Ring = Sepsat_fleet.Ring
-module Poll = Sepsat_fleet.Poll
-module Lineconn = Sepsat_fleet.Lineconn
+module Poll = Sepsat_serve.Poll
+module Lineconn = Sepsat_serve.Lineconn
 module Disk_cache = Sepsat_fleet.Disk_cache
 module Fleet = Sepsat_fleet.Fleet
 module Json = Sepsat_serve.Json
@@ -195,7 +195,49 @@ let test_lineconn_eof_with_pending () =
   (match Lineconn.on_readable c with
   | `Closed -> ()
   | _ -> Alcotest.fail "Closed on the next call");
+  Lineconn.close c;
+  (* An unterminated last line is still a line once the peer closes. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Lineconn.create a in
+  wr b "last\nfinal";
+  Unix.close b;
+  (match Lineconn.on_readable c with
+  | `Lines [ "last"; "final" ] -> ()
+  | _ -> Alcotest.fail "unterminated tail delivered at EOF");
+  (match Lineconn.on_readable c with
+  | `Closed -> ()
+  | _ -> Alcotest.fail "Closed on the next call");
   Lineconn.close c
+
+(* A line that grows past the bound in pieces is cut off once, with the
+   complete lines before it still delivered, and the connection reads no
+   more. *)
+let test_lineconn_overlong () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Lineconn.create a in
+  wr b "ok\n";
+  let piece = String.make 65536 'x' in
+  let pieces = (Lineconn.max_line_bytes / 65536) + 1 in
+  let rec feed k =
+    if k > pieces then Alcotest.fail "the bound never tripped"
+    else begin
+      wr b piece;
+      match Lineconn.on_readable c with
+      | `Nothing -> feed (k + 1)
+      | `Lines [ "ok" ] when k = 1 -> feed (k + 1)
+      | `Overlong ls -> (k, ls)
+      | _ -> Alcotest.fail "unexpected read result below the bound"
+    end
+  in
+  let k, ls = feed 1 in
+  Alcotest.(check int) "trips just past 16 MiB" pieces k;
+  Alcotest.(check (list string)) "nothing complete pending" [] ls;
+  wr b "\nlate\n";
+  (match Lineconn.on_readable c with
+  | `Closed -> ()
+  | _ -> Alcotest.fail "no reads after the bound");
+  Lineconn.close c;
+  Unix.close b
 
 let test_lineconn_write_queue () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -491,6 +533,74 @@ let solve_retrying ~path session text =
   session := s;
   reply
 
+(* A solve that arrives while the fleet drains is shed, and the shed is
+   counted once for stats and once for the [fleet.busy] metric: one write
+   carrying shutdown, solve and metrics gets busy, then a metrics reply
+   whose router [fleet_busy] is 1, then bye. *)
+let test_fleet_drain_sheds () =
+  if not (Sys.file_exists sufdec_exe) then
+    Alcotest.fail "sufdec binary not built next to the tests";
+  let dir = tmpdir "sepsat-drain" in
+  let socket = Filename.concat dir "fleet.sock" in
+  let cfg =
+    {
+      (Fleet.default ~socket ~backends:1) with
+      Fleet.f_workers = Some 1;
+      f_exe = Some sufdec_exe;
+    }
+  in
+  Metrics.reset ();
+  let fleet = Domain.spawn (fun () -> Fleet.run cfg) in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Alcotest.(check bool) "router listening" true
+    (wait_until ~tries:100 ~sleep_s:0.05 (fun () ->
+         match Unix.connect fd (Unix.ADDR_UNIX socket) with
+         | () -> true
+         | exception Unix.Unix_error _ -> false));
+  let line r = Protocol.request_to_line r ^ "\n" in
+  wr fd
+    (line (Protocol.Shutdown "q")
+    ^ line
+        (Protocol.Solve
+           {
+             Protocol.sq_id = "s";
+             sq_lang = Protocol.Suf;
+             sq_text = "(= x x)";
+             sq_method = Sepsat.Decide.Hybrid_default;
+             sq_timeout_s = None;
+             sq_trace = None;
+           })
+    ^ line (Protocol.Metrics_req "m"));
+  let buf = Buffer.create 4096 in
+  let rec drain () =
+    match rd fd with
+    | "" -> ()
+    | s ->
+      Buffer.add_string buf s;
+      drain ()
+  in
+  drain ();
+  Unix.close fd;
+  Domain.join fleet;
+  let replies =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match Protocol.reply_of_line l with
+           | Ok r -> r
+           | Error e -> Alcotest.failf "bad reply line %s: %s" l e)
+  in
+  match replies with
+  | [ Protocol.Busy "s"; Protocol.Metrics ("m", body); Protocol.Bye "q" ] ->
+    let router_busy =
+      String.split_on_char '\n' body
+      |> List.find_opt (( = ) {|fleet_busy{backend="router"} 1|})
+    in
+    Alcotest.(check bool) "router fleet_busy is 1" true (router_busy <> None)
+  | _ ->
+    Alcotest.failf "expected busy, metrics, bye; got %s"
+      (String.concat " | " (List.map Protocol.reply_to_line replies))
+
 let test_fleet_end_to_end () =
   if not (Sys.file_exists sufdec_exe) then
     Alcotest.fail "sufdec binary not built next to the tests";
@@ -725,6 +835,7 @@ let () =
           Alcotest.test_case "eof with pending batch" `Quick
             test_lineconn_eof_with_pending;
           Alcotest.test_case "write queue" `Quick test_lineconn_write_queue;
+          Alcotest.test_case "line bound" `Quick test_lineconn_overlong;
         ] );
       ( "disk cache",
         [
@@ -748,5 +859,9 @@ let () =
             test_session_retry_exhaustion;
         ] );
       ( "fleet",
-        [ Alcotest.test_case "end to end" `Quick test_fleet_end_to_end ] );
+        [
+          Alcotest.test_case "sheds while draining are counted" `Quick
+            test_fleet_drain_sheds;
+          Alcotest.test_case "end to end" `Quick test_fleet_end_to_end;
+        ] );
     ]

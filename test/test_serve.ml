@@ -723,8 +723,8 @@ let test_serve_unknown_method () =
      \"method\":\"cube\"}\n"
     ^ Protocol.request_to_line (Protocol.Ping "p")
     ^ "\n"
+    (* the last request has no newline: it must still be served *)
     ^ Protocol.request_to_line (Protocol.Shutdown "q")
-    ^ "\n"
   in
   let in_path = Filename.temp_file "sufmethod" ".in" in
   let out_path = Filename.temp_file "sufmethod" ".out" in
@@ -757,6 +757,106 @@ let test_serve_unknown_method () =
   | _ ->
     Alcotest.failf "expected error, pong, bye; got %d replies"
       (List.length replies))
+
+let sock_path tag =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "sufserve-%s-%d.sock" tag (Unix.getpid ()))
+
+let connect_retrying path =
+  let rec go n =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error _ when n > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.02;
+      go (n - 1)
+  in
+  go 250
+
+(* Everything the peer sends until it closes; a reset after the data
+   counts as the close. *)
+let read_all fd =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ()
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EAGAIN), _, _) -> ()
+  in
+  go ();
+  Buffer.contents buf
+
+let send_line fd r =
+  let l = Protocol.request_to_line r ^ "\n" in
+  ignore (Unix.write_substring fd l 0 (String.length l))
+
+(* A connection that stays idle must not keep the server up after another
+   one asks it to shut down. *)
+let test_serve_unix_shutdown_with_idle_peer () =
+  let path = sock_path "idle" in
+  let engine = Engine.create ~workers:1 () in
+  let returned = Atomic.make false in
+  let server =
+    Domain.spawn (fun () ->
+        Server.serve_unix engine ~path;
+        Atomic.set returned true)
+  in
+  let idle = connect_retrying path in
+  let a = connect_retrying path in
+  send_line a (Protocol.Shutdown "q");
+  let bye = read_all a in
+  Unix.close a;
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.02
+  done;
+  let in_time = Atomic.get returned in
+  (* Closing the idle peer releases a server that failed the check, so a
+     failure is reported instead of hanging the suite. *)
+  Unix.close idle;
+  Domain.join server;
+  Engine.shutdown engine;
+  Alcotest.(check bool) "bye to the requester" true
+    (Protocol.reply_of_line (String.trim bye) = Ok (Protocol.Bye "q"));
+  Alcotest.(check bool) "serve_unix returned within 5 s" true in_time;
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
+
+(* A request line past the 16 MiB bound gets one error reply with an empty
+   id and its connection is closed; the server keeps serving others. *)
+let test_serve_unix_overlong_line () =
+  let path = sock_path "long" in
+  let engine = Engine.create ~workers:1 () in
+  let server = Domain.spawn (fun () -> Server.serve_unix engine ~path) in
+  let fd = connect_retrying path in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  let piece = String.make 65536 'x' in
+  let rec flood sent =
+    if sent <= Sepsat_serve.Lineconn.max_line_bytes + (1 lsl 20) then
+      match Unix.write_substring fd piece 0 65536 with
+      | n -> flood (sent + n)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
+  flood 0;
+  let replies =
+    String.split_on_char '\n' (read_all fd) |> List.filter (( <> ) "")
+  in
+  Unix.close fd;
+  (match List.map Protocol.reply_of_line replies with
+  | [ Ok (Protocol.Error ("", msg)) ] ->
+    Alcotest.(check string) "error reason" "request line exceeds 16 MiB" msg
+  | _ ->
+    Alcotest.failf "expected one error reply, got %d lines"
+      (List.length replies));
+  let s = Session.connect ~retries:10 path in
+  Alcotest.(check bool) "fresh connection still served" true (Session.ping s);
+  Session.shutdown s;
+  Session.close s;
+  Domain.join server;
+  Engine.shutdown engine
 
 let test_serve_unix_end_to_end () =
   let path =
@@ -1249,8 +1349,13 @@ let test_serve_metrics_http () =
   Metrics.set_always_on true;
   Metrics.incr (Metrics.counter "serve.requests");
   Metrics.set_always_on false;
-  let stop = Atomic.make false in
-  let th = Server.serve_metrics ~path ~stop in
+  let sock = path ^ ".api" in
+  let engine = Engine.create ~workers:1 () in
+  let server =
+    Domain.spawn (fun () ->
+        Server.serve_unix ~metrics_path:path engine ~path:sock)
+  in
+  let api = Session.connect ~retries:100 sock in
   let scrape target =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX path);
@@ -1271,8 +1376,10 @@ let test_serve_metrics_http () =
   in
   Fun.protect
     ~finally:(fun () ->
-      Atomic.set stop true;
-      Thread.join th)
+      Session.shutdown api;
+      Session.close api;
+      Domain.join server;
+      Engine.shutdown engine)
     (fun () ->
       let resp = scrape "/metrics" in
       let contains hay needle =
@@ -1366,6 +1473,10 @@ let () =
         [
           Alcotest.test_case "channels" `Quick test_serve_channels;
           Alcotest.test_case "unix socket" `Quick test_serve_unix_end_to_end;
+          Alcotest.test_case "shutdown with an idle peer" `Quick
+            test_serve_unix_shutdown_with_idle_peer;
+          Alcotest.test_case "request line bound" `Quick
+            test_serve_unix_overlong_line;
           Alcotest.test_case "unknown method is an error reply" `Quick
             test_serve_unknown_method;
         ] );
