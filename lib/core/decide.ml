@@ -5,7 +5,6 @@ module Verdict = Sepsat_sep.Verdict
 module Component = Sepsat_sep.Component
 module Hybrid = Sepsat_encode.Hybrid
 module F = Sepsat_prop.Formula
-module Tseitin = Sepsat_prop.Tseitin
 module Solver = Sepsat_sat.Solver
 module Lit = Sepsat_sat.Lit
 module Deadline = Sepsat_util.Deadline
@@ -96,7 +95,7 @@ let want_simplify = function
   | Some b -> b
   | None -> Atomic.get simplify_flag
 
-let decide_eager ?stop ?simplify ?elim ~config ~deadline ~certify ctx formula
+let decide_eager ?stop ~simplify ?elim ~config ~deadline ~certify ctx formula
     =
   let deadline =
     match stop with
@@ -148,39 +147,17 @@ let decide_eager ?stop ?simplify ?elim ~config ~deadline ~certify ctx formula
       (if Deadline.interrupted deadline then "cancelled" else "timeout")
   | encoded ->
     let t_enc = Deadline.now () in
-    let solver = Solver.create () in
-    Solver.set_simplify solver (want_simplify simplify);
-    (match stop with Some flag -> Solver.set_stop solver flag | None -> ());
-    let proof = if certify then Some (Solver.start_proof solver) else None in
-    (* DRUP certification replays against the exact clause stream, so it
-       keeps the reference full-Tseitin conversion. *)
-    let mode = if certify then Tseitin.Full else Tseitin.Polarity in
-    let tseitin = Tseitin.create ~mode solver in
-    Obs.span ~cat:"pipeline" "cnf" (fun () ->
-        Tseitin.assert_root tseitin
-          (F.not_ encoded.Hybrid.prop_ctx encoded.Hybrid.f_bool));
+    let q =
+      Obs.span ~cat:"pipeline" "cnf" (fun () ->
+          Eager.load ~simplify ?stop ~certify encoded.Hybrid.prop_ctx
+            encoded.Hybrid.f_bool)
+    in
     let t1 = Deadline.now () in
-    let outcome =
-      Obs.span ~cat:"pipeline" "sat" (fun () -> Solver.solve ~deadline solver)
+    let verdict, certified =
+      Obs.span ~cat:"pipeline" "sat" (fun () ->
+          Eager.check ~deadline ~decode:encoded.Hybrid.decode q)
     in
     let t2 = Deadline.now () in
-    let verdict =
-      match outcome with
-      | Solver.Unsat -> Verdict.Valid
-      | Solver.Unknown -> Verdict.Unknown "timeout"
-      | Solver.Sat ->
-        let assign i =
-          match Tseitin.find_var tseitin i with
-          | Some lit -> Solver.value solver lit
-          | None -> false
-        in
-        Verdict.Invalid (encoded.Hybrid.decode assign)
-    in
-    let certified =
-      match (verdict, proof) with
-      | Verdict.Valid, Some p -> Some (Sepsat_sat.Drup_check.certified p)
-      | (Verdict.Invalid _ | Verdict.Unknown _), Some _ | _, None -> None
-    in
     {
       verdict;
       certified;
@@ -196,8 +173,8 @@ let decide_eager ?stop ?simplify ?elim ~config ~deadline ~certify ctx formula
           ("cnf", t1 -. t_enc);
           ("sat", t2 -. t1);
         ];
-      cnf_clauses = Tseitin.clauses_added tseitin;
-      sat_stats = Some (Solver.stats solver);
+      cnf_clauses = Eager.clauses q;
+      sat_stats = Some (Solver.stats (Eager.solver q));
       encode_stats = Some encoded.Hybrid.stats;
       winner = None;
     }
@@ -233,8 +210,7 @@ let decide_svc ~deadline ctx formula =
     ~decide_fn:(fun ~deadline ctx f -> Svc.decide ~deadline ctx f)
     ctx formula
 
-let decide_lazy ?simplify ~deadline ctx formula =
-  let simplify = want_simplify simplify in
+let decide_lazy ~simplify ~deadline ctx formula =
   decide_baseline ~span_name:"lazy.search" ~deadline
     ~decide_fn:(fun ~deadline ctx f -> Lazy_smt.decide ~simplify ~deadline ctx f)
     ctx formula
@@ -244,14 +220,9 @@ let decide_lazy ?simplify ~deadline ctx formula =
 (* COMPONENTS (and the portfolio below) run several domains at once:
    [Sys.time] accumulates CPU across every domain, so they must work against
    a wall-clock budget or N workers would burn the deadline N times faster. *)
-let wall_of deadline =
-  match Deadline.remaining deadline with
-  | None -> Deadline.none
-  | Some r -> Deadline.after_wall r
-
-let decide_components ?stop ?simplify ~deadline ~certify ctx formula =
+let decide_components ?stop ~simplify ~deadline ~certify ctx formula =
   let t0 = Deadline.wall_now () in
-  let deadline = wall_of deadline in
+  let deadline = Deadline.to_wall deadline in
   let elim =
     Obs.span ~cat:"pipeline" "elim" (fun () -> Elim.eliminate ctx formula)
   in
@@ -267,7 +238,7 @@ let decide_components ?stop ?simplify ~deadline ~certify ctx formula =
        elimination (fresh p-names per call, so it must not rerun), with the
        split attempt accounted in the phase report. *)
     let r =
-      decide_eager ?stop ?simplify ~elim ~config:Hybrid.default ~deadline
+      decide_eager ?stop ~simplify ~elim ~config:Hybrid.default ~deadline
         ~certify ctx formula
     in
     {
@@ -281,7 +252,7 @@ let decide_components ?stop ?simplify ~deadline ~certify ctx formula =
   | _ :: _ :: _ ->
     let cr =
       Obs.span ~cat:"pipeline" "components" (fun () ->
-          Parallel.solve_components ?stop ~simplify:(want_simplify simplify)
+          Parallel.solve_components ?stop ~simplify
             ~config:Hybrid.default ~deadline ~certify ctx
             ~p_consts:elim.Elim.p_consts split)
     in
@@ -312,13 +283,13 @@ let decide_components ?stop ?simplify ~deadline ~certify ctx formula =
 let portfolio_members = [ Sd; Eij; Hybrid_default; Components ]
 
 (* One racing lane: the eager encodings plus the structural strategies. *)
-let decide_member m ~stop ?simplify ~deadline ~certify ctx formula =
+let decide_member m ~stop ~simplify ~deadline ~certify ctx formula =
   match m with
   | Sd | Eij | Hybrid_default | Hybrid_at _ ->
-    decide_eager ~stop ?simplify ~config:(eager_config m) ~deadline ~certify
+    decide_eager ~stop ~simplify ~config:(eager_config m) ~deadline ~certify
       ctx formula
   | Components ->
-    decide_components ~stop ?simplify ~deadline ~certify ctx formula
+    decide_components ~stop ~simplify ~deadline ~certify ctx formula
   | Svc_baseline | Lazy_baseline | Portfolio ->
     invalid_arg "Decide.decide_member: not a racing member"
 
@@ -330,11 +301,11 @@ let decide_member m ~stop ?simplify ~deadline ~certify ctx formula =
    encoders mutate shared state, so each domain re-parses the formula
    (print/parse round-trips are stable) into a context of its own instead of
    sharing nodes across domains. *)
-let decide_portfolio ?simplify ~deadline ~certify ctx formula =
+let decide_portfolio ~simplify ~deadline ~certify ctx formula =
   ignore ctx;
   let t0 = Deadline.wall_now () in
   let printed = Format.asprintf "%a" Ast.pp formula in
-  let deadline = wall_of deadline in
+  let deadline = Deadline.to_wall deadline in
   let stop = Atomic.make false in
   let winner_slot : (method_ * result) option Atomic.t = Atomic.make None in
   let run m =
@@ -345,7 +316,7 @@ let decide_portfolio ?simplify ~deadline ~certify ctx formula =
       (fun () ->
         let ctx' = Ast.create_ctx () in
         let formula' = Parse.formula ctx' printed in
-        let r = decide_member m ~stop ?simplify ~deadline ~certify ctx' formula' in
+        let r = decide_member m ~stop ~simplify ~deadline ~certify ctx' formula' in
         (match r.verdict with
         | Verdict.Valid | Verdict.Invalid _ ->
           if Atomic.compare_and_set winner_slot None (Some (m, r)) then begin
@@ -380,14 +351,15 @@ let decide_portfolio ?simplify ~deadline ~certify ctx formula =
 
 let decide ?(method_ = Hybrid_default) ?(deadline = Deadline.none)
     ?(certify = false) ?simplify ctx formula =
+  let simplify = want_simplify simplify in
   match method_ with
   | Sd | Eij | Hybrid_default | Hybrid_at _ ->
-    decide_eager ?simplify ~config:(eager_config method_) ~deadline ~certify
+    decide_eager ~simplify ~config:(eager_config method_) ~deadline ~certify
       ctx formula
   | Svc_baseline -> decide_svc ~deadline ctx formula
-  | Lazy_baseline -> decide_lazy ?simplify ~deadline ctx formula
-  | Portfolio -> decide_portfolio ?simplify ~deadline ~certify ctx formula
-  | Components -> decide_components ?simplify ~deadline ~certify ctx formula
+  | Lazy_baseline -> decide_lazy ~simplify ~deadline ctx formula
+  | Portfolio -> decide_portfolio ~simplify ~deadline ~certify ctx formula
+  | Components -> decide_components ~simplify ~deadline ~certify ctx formula
 
 (* -- Incremental SEP_THOLD sweep ------------------------------------------ *)
 
@@ -410,6 +382,7 @@ let default_sweep_thresholds = [ 0; 50; 200; 400; 700; 2000; max_int ]
 
 let decide_sweep ?(thresholds = default_sweep_thresholds)
     ?(deadline = Deadline.none) ?simplify ctx formula =
+  let simplify = want_simplify simplify in
   let t0 = Deadline.now () in
   let elim = Obs.span ~cat:"pipeline" "elim" (fun () -> Elim.eliminate ctx formula) in
   match
@@ -425,8 +398,8 @@ let decide_sweep ?(thresholds = default_sweep_thresholds)
       List.map
         (fun th ->
           let r =
-            decide_eager ~config:(Hybrid.hybrid ~threshold:th ()) ~deadline
-              ~certify:false ctx formula
+            decide_eager ~simplify ~config:(Hybrid.hybrid ~threshold:th ())
+              ~deadline ~certify:false ctx formula
           in
           {
             sw_threshold = th;
@@ -447,16 +420,14 @@ let decide_sweep ?(thresholds = default_sweep_thresholds)
       sweep_stats = None;
     }
   | enc ->
-    let solver = Solver.create () in
-    Solver.set_simplify solver (want_simplify simplify);
-    let tseitin = Tseitin.create solver in
-    Obs.span ~cat:"pipeline" "cnf" (fun () ->
-        Tseitin.assert_root tseitin
-          (F.not_ enc.Hybrid.sel_prop_ctx enc.Hybrid.sel_f_bool));
+    let q =
+      Obs.span ~cat:"pipeline" "cnf" (fun () ->
+          Eager.load ~simplify enc.Hybrid.sel_prop_ctx enc.Hybrid.sel_f_bool)
+    in
+    let solver = Eager.solver q in
     let t1 = Deadline.now () in
     let sel_lits =
-      Array.map
-        (fun sel -> Tseitin.lit_of_var tseitin (F.var_index sel))
+      Array.map (fun sel -> Eager.lit_of_var q (F.var_index sel))
         enc.Hybrid.selectors
     in
     (* Every sweep point re-assumes the full selector vector, so the
@@ -476,24 +447,14 @@ let decide_sweep ?(thresholds = default_sweep_thresholds)
           in
           let c0 = (Solver.stats solver).Solver.conflicts in
           let ta = Deadline.now () in
-          let outcome =
+          let verdict, _ =
             Obs.span ~cat:"sweep"
               (Printf.sprintf "sweep.th=%d" th)
-              (fun () -> Solver.solve ~deadline ~assumptions solver)
+              (fun () ->
+                Eager.check ~assumptions ~deadline
+                  ~decode:enc.Hybrid.sel_decode q)
           in
           let tb = Deadline.now () in
-          let verdict =
-            match outcome with
-            | Solver.Unsat -> Verdict.Valid
-            | Solver.Unknown -> Verdict.Unknown "timeout"
-            | Solver.Sat ->
-              let assign i =
-                match Tseitin.find_var tseitin i with
-                | Some lit -> Solver.value solver lit
-                | None -> false
-              in
-              Verdict.Invalid (enc.Hybrid.sel_decode assign)
-          in
           {
             sw_threshold = th;
             sw_verdict = verdict;
@@ -505,7 +466,7 @@ let decide_sweep ?(thresholds = default_sweep_thresholds)
     {
       points;
       solver_creates = 1;
-      sweep_cnf_clauses = Tseitin.clauses_added tseitin;
+      sweep_cnf_clauses = Eager.clauses q;
       sweep_translate_time = t1 -. t0;
       sweep_stats = Some (Solver.stats solver);
     }

@@ -32,6 +32,11 @@ type method_ =
 
 val pp_method : Format.formatter -> method_ -> unit
 
+val eager_config : method_ -> Hybrid.config
+(** The encoding configuration of an eager method ([Sd], [Eij],
+    [Hybrid_default], [Hybrid_at]).
+    @raise Invalid_argument for any other method. *)
+
 val method_of_string : string -> method_ option
 (** Accepts ["sd"], ["eij"], ["hybrid"], ["hybrid:<n>"], ["svc"],
     ["lazy"], ["portfolio"], ["components"]. *)
@@ -59,12 +64,14 @@ type result = {
   phase_times : (string * float) list;
       (** finer-grained split of [total_time], in pipeline order. Eager
           methods report [elim]/[encode]/[cnf]/[sat] (so [translate_time] =
-          elim + encode + cnf); SVC and LAZY report [elim]/[search];
-          COMPONENTS reports [elim]/[split]/[solve] (or, degenerating to the
-          sequential path, [elim]/[split]/[encode]/[cnf]/[sat]). On an
-          [Unknown] from a translation blowup or timeout the list stops at
-          the phase that gave up, which names the culprit. Same CPU clock as the coarse fields
-          for the sequential methods; the parallel methods (and the
+          elim + encode + cnf; [sat] is {!Eager.check}: the search, the
+          model decode and, with [certify], the DRUP replay); SVC and LAZY
+          report [elim]/[search]; COMPONENTS reports [elim]/[split]/[solve]
+          (or, degenerating to the sequential path,
+          [elim]/[split]/[encode]/[cnf]/[sat]). On an [Unknown] from a
+          translation blowup or timeout the list stops at the phase that
+          gave up, which names the culprit. Same CPU clock as the coarse
+          fields for the sequential methods; the parallel methods (and the
           {!Sepsat_obs} spans emitted alongside) use wall time. *)
   cnf_clauses : int;  (** CNF clauses handed to the solver (0 for SVC) *)
   sat_stats : Solver.stats option;

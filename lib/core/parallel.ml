@@ -5,8 +5,6 @@ module Brute = Sepsat_sep.Brute
 module Component = Sepsat_sep.Component
 module Verdict = Sepsat_sep.Verdict
 module Hybrid = Sepsat_encode.Hybrid
-module F = Sepsat_prop.Formula
-module Tseitin = Sepsat_prop.Tseitin
 module Solver = Sepsat_sat.Solver
 module Deadline = Sepsat_util.Deadline
 module Obs = Sepsat_obs.Obs
@@ -41,11 +39,18 @@ type components_result = {
 (* Outcome of one component's satisfiability check, stored by workers. *)
 type comp_res = {
   k_verdict : Verdict.t;  (** [Valid] = goal unsatisfiable *)
-  k_assignment : Brute.assignment option;
   k_certified : bool option;
   k_cnf : int;
   k_stats : Solver.stats option;
 }
+
+let unknown why =
+  {
+    k_verdict = Verdict.Unknown why;
+    k_certified = None;
+    k_cnf = 0;
+    k_stats = None;
+  }
 
 (* Components own disjoint g-constants and Boolean constants, and every
    component decodes all p-constants at the same injected values, so the
@@ -121,67 +126,24 @@ let solve_components ?pool ~simplify ?stop ?p_value ~config ~deadline ~certify
             invalid_arg (Printf.sprintf "Parallel: unknown p-constant %S" name)
         in
         match Hybrid.encode ~config ~deadline ~p_value ctx' ~p_consts target with
-        | exception Hybrid.Translation_blowup ->
-          {
-            k_verdict = Verdict.Unknown "translation blowup";
-            k_assignment = None;
-            k_certified = None;
-            k_cnf = 0;
-            k_stats = None;
-          }
+        | exception Hybrid.Translation_blowup -> unknown "translation blowup"
         | exception Deadline.Timeout ->
-          {
-            k_verdict =
-              Verdict.Unknown
-                (if Deadline.interrupted deadline then "cancelled"
-                 else "timeout");
-            k_assignment = None;
-            k_certified = None;
-            k_cnf = 0;
-            k_stats = None;
-          }
+          unknown
+            (if Deadline.interrupted deadline then "cancelled" else "timeout")
         | encoded ->
-          let solver = Solver.create () in
-          Solver.set_simplify solver simplify;
-          Solver.set_stop solver pool_stop;
-          let proof =
-            if certify then Some (Solver.start_proof solver) else None
+          let q =
+            Eager.load ~simplify ~stop:pool_stop ~certify
+              encoded.Hybrid.prop_ctx encoded.Hybrid.f_bool
           in
-          let mode = if certify then Tseitin.Full else Tseitin.Polarity in
-          let tseitin = Tseitin.create ~mode solver in
-          Tseitin.assert_root tseitin
-            (F.not_ encoded.Hybrid.prop_ctx encoded.Hybrid.f_bool);
-          let outcome = Solver.solve ~deadline solver in
-          let verdict, assignment =
-            match outcome with
-            | Solver.Unsat -> (Verdict.Valid, None)
-            | Solver.Unknown ->
-              ( Verdict.Unknown
-                  (if Atomic.get pool_stop || Deadline.interrupted deadline
-                   then "cancelled"
-                   else "timeout"),
-                None )
-            | Solver.Sat ->
-              let assign v =
-                match Tseitin.find_var tseitin v with
-                | Some lit -> Solver.value solver lit
-                | None -> false
-              in
-              let a = encoded.Hybrid.decode assign in
-              (Verdict.Invalid a, Some a)
-          in
-          let certified =
-            match (verdict, proof) with
-            | Verdict.Valid, Some p -> Some (Sepsat_sat.Drup_check.certified p)
-            | (Verdict.Invalid _ | Verdict.Unknown _), Some _ | _, None -> None
+          let verdict, certified =
+            Eager.check ~deadline ~decode:encoded.Hybrid.decode q
           in
           let res =
             {
               k_verdict = verdict;
-              k_assignment = assignment;
               k_certified = certified;
-              k_cnf = Tseitin.clauses_added tseitin;
-              k_stats = Some (Solver.stats solver);
+              k_cnf = Eager.clauses q;
+              k_stats = Some (Solver.stats (Eager.solver q));
             }
           in
           (match verdict with
@@ -204,15 +166,7 @@ let solve_components ?pool ~simplify ?stop ?p_value ~config ~deadline ~certify
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         if Atomic.get pool_stop then
-          results.(i) <-
-            Some
-              {
-                k_verdict = Verdict.Unknown "cancelled";
-                k_assignment = None;
-                k_certified = None;
-                k_cnf = 0;
-                k_stats = None;
-              }
+          results.(i) <- Some (unknown "cancelled")
         else run_component i;
         loop ()
       end
@@ -234,18 +188,7 @@ let solve_components ?pool ~simplify ?stop ?p_value ~config ~deadline ~certify
         in
         List.iter Domain.join domains);
   let results =
-    Array.map
-      (function
-        | Some r -> r
-        | None ->
-          {
-            k_verdict = Verdict.Unknown "cancelled";
-            k_assignment = None;
-            k_certified = None;
-            k_cnf = 0;
-            k_stats = None;
-          })
-      results
+    Array.map (Option.value ~default:(unknown "cancelled")) results
   in
   let cnf_clauses = Array.fold_left (fun acc r -> acc + r.k_cnf) 0 results in
   let verdict, assignment, certified, stats =
@@ -266,7 +209,10 @@ let solve_components ?pool ~simplify ?stop ?p_value ~config ~deadline ~certify
       | None ->
         let asgs =
           Array.to_list results
-          |> List.filter_map (fun r -> r.k_assignment)
+          |> List.filter_map (fun r ->
+                 match r.k_verdict with
+                 | Verdict.Invalid a -> Some a
+                 | Verdict.Valid | Verdict.Unknown _ -> None)
         in
         let merged = merge_assignments asgs in
         ( Verdict.Invalid merged,

@@ -58,8 +58,9 @@ val solve_components :
     most one per component). Each worker re-parses its component goal into a
     private AST context, encodes its negation with {!Hybrid.encode}
     [~p_value] pinned to the whole formula's table (computed here via
-    {!Hybrid.p_values} unless supplied), and runs the standard CDCL check;
-    [certify] routes the winning UNSAT component through full Tseitin with
-    DRUP logging, exactly like the sequential pipeline. [simplify] sets
-    each component solver's SatELite-style preprocessing. [stop] cancels
-    the whole pool from outside (e.g. a portfolio race). *)
+    {!Hybrid.p_values} unless supplied), and decides it through
+    {!Eager}, the sequential pipeline's CNF → SAT → verdict step;
+    [certify] logs each component's DRUP proof and replays the winning
+    UNSAT component's. [simplify] sets each component solver's
+    SatELite-style preprocessing. [stop] cancels the whole pool from
+    outside (e.g. a portfolio race). *)

@@ -289,20 +289,21 @@ let ablation_positive_equality ?(deadline_s = default_deadline) ppf =
             Sepsat_encode.Hybrid.encode ctx ~p_consts
               elim.Sepsat_suf.Elim.formula
           in
-          let solver = Sepsat_sat.Solver.create () in
-          let ts = Sepsat_prop.Tseitin.create solver in
-          Sepsat_prop.Tseitin.assert_root ts
-            (Sepsat_prop.Formula.not_ enc.Sepsat_encode.Hybrid.prop_ctx
-               enc.Sepsat_encode.Hybrid.f_bool);
-          let outcome =
-            Sepsat_sat.Solver.solve
+          let verdict, _ =
+            Sepsat.Eager.check
               ~deadline:(Sepsat_util.Deadline.after deadline_s)
-              solver
+              ~decode:enc.Sepsat_encode.Hybrid.decode
+              (Sepsat.Eager.load ~simplify:(Decide.simplify_default ())
+                 enc.Sepsat_encode.Hybrid.prop_ctx
+                 enc.Sepsat_encode.Hybrid.f_bool)
           in
           let t1 = Sepsat_util.Deadline.now () in
           ( Sepsat_util.Sset.cardinal elim.Sepsat_suf.Elim.p_consts,
             enc.Sepsat_encode.Hybrid.stats.Sepsat_encode.Hybrid.bool_size,
-            (t1 -. t0, outcome = Sepsat_sat.Solver.Unknown) )
+            ( t1 -. t0,
+              match verdict with
+              | Verdict.Unknown _ -> true
+              | Verdict.Valid | Verdict.Invalid _ -> false ) )
         in
         match (measure ~use_p:true, measure ~use_p:false) with
         | ( (p_count, size_on, (time_on, tmo_on)),

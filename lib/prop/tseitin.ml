@@ -1,11 +1,10 @@
 module Solver = Sepsat_sat.Solver
 module Lit = Sepsat_sat.Lit
 
-type mode = Full | Polarity
+type mode = Polarity
 
 type t = {
   solver : Solver.t;
-  mode : mode;
   var_lits : (int, Lit.t) Hashtbl.t;  (* formula var index -> solver literal *)
   memo : (int, Lit.t) Hashtbl.t;  (* formula node id -> solver literal *)
   done_pos : (int, unit) Hashtbl.t;  (* gate ids with l => def clauses out *)
@@ -20,10 +19,9 @@ type t = {
    clauses slow the two-watched-literal scheme's new-watch scan). *)
 let max_width = 64
 
-let create ?(mode = Polarity) solver =
+let create ?mode:_ solver =
   {
     solver;
-    mode;
     var_lits = Hashtbl.create 256;
     memo = Hashtbl.create 1024;
     done_pos = Hashtbl.create 1024;
@@ -59,38 +57,6 @@ let true_lit t =
     add_clause t [ l ];
     t.const_true <- Some l;
     l
-
-(* -- Full (both-direction, binary) conversion --------------------------- *)
-
-let rec encode_full t (f : Formula.t) =
-  match Hashtbl.find_opt t.memo f.id with
-  | Some l -> l
-  | None ->
-    let l =
-      match f.node with
-      | Formula.True -> true_lit t
-      | Formula.False -> Lit.neg (true_lit t)
-      | Formula.Var i -> lit_of_var t i
-      | Formula.Not g -> Lit.neg (encode_full t g)
-      | Formula.And (a, b) ->
-        let la = encode_full t a and lb = encode_full t b in
-        let l = Lit.pos (Solver.new_var t.solver) in
-        add_clause t [ Lit.neg l; la ];
-        add_clause t [ Lit.neg l; lb ];
-        add_clause t [ l; Lit.neg la; Lit.neg lb ];
-        l
-      | Formula.Or (a, b) ->
-        let la = encode_full t a and lb = encode_full t b in
-        let l = Lit.pos (Solver.new_var t.solver) in
-        add_clause t [ Lit.neg l; la; lb ];
-        add_clause t [ l; Lit.neg la ];
-        add_clause t [ l; Lit.neg lb ];
-        l
-    in
-    Hashtbl.add t.memo f.id l;
-    l
-
-(* -- Polarity-aware (Plaisted-Greenbaum) conversion ---------------------- *)
 
 let gate_lit t (f : Formula.t) =
   match Hashtbl.find_opt t.memo f.id with
@@ -171,32 +137,24 @@ let rec encode_pg t (f : Formula.t) ~pos ~neg =
     end;
     l
 
-let encode t f =
-  match t.mode with
-  | Full -> encode_full t f
-  | Polarity -> encode_pg t f ~pos:true ~neg:true
-
 let rec assert_root t (f : Formula.t) =
-  match t.mode with
-  | Full -> add_clause t [ encode_full t f ]
-  | Polarity ->
-    if not (Hashtbl.mem t.root_done f.id) then begin
-      Hashtbl.add t.root_done f.id ();
-      match f.node with
-      | Formula.True -> ()
-      | Formula.False -> add_clause t []
-      | Formula.And (a, b) when not (Hashtbl.mem t.memo f.id) ->
-        (* A conjunctive root splits into several roots: no gate variable,
-           no definition clauses. *)
-        assert_root t a;
-        assert_root t b
-      | Formula.Or _ when not (Hashtbl.mem t.memo f.id) ->
-        (* A disjunctive root becomes a single clause over its children. *)
-        let clits =
-          List.map (fun g -> encode_pg t g ~pos:true ~neg:false) (gather t f)
-        in
-        add_clause t clits
-      | _ -> add_clause t [ encode_pg t f ~pos:true ~neg:false ]
-    end
+  if not (Hashtbl.mem t.root_done f.id) then begin
+    Hashtbl.add t.root_done f.id ();
+    match f.node with
+    | Formula.True -> ()
+    | Formula.False -> add_clause t []
+    | Formula.And (a, b) when not (Hashtbl.mem t.memo f.id) ->
+      (* A conjunctive root splits into several roots: no gate variable, no
+         definition clauses. *)
+      assert_root t a;
+      assert_root t b
+    | Formula.Or _ when not (Hashtbl.mem t.memo f.id) ->
+      (* A disjunctive root becomes a single clause over its children. *)
+      let clits =
+        List.map (fun g -> encode_pg t g ~pos:true ~neg:false) (gather t f)
+      in
+      add_clause t clits
+    | _ -> add_clause t [ encode_pg t f ~pos:true ~neg:false ]
+  end
 
 let clauses_added t = t.n_clauses

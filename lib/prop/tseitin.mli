@@ -4,25 +4,25 @@
     the clause count is linear in the DAG size. Negations reuse the
     complemented literal and cost no variables or clauses.
 
-    Two conversions are available. {!Polarity} (the default) is the
-    Plaisted-Greenbaum translation: a gate's definition clauses are emitted
-    only in the direction(s) its occurrence polarity demands, and maximal
-    same-connective And/Or spines are flattened into n-ary definitions
-    (width-capped), cutting both clause and variable counts versus the
-    textbook translation. Models still project correctly onto the input
-    variables of an asserted root. {!Full} is the classical both-direction
-    binary Tseitin conversion, kept for paths that need the gate variables to
-    be fully defined — model reconstruction over arbitrary subformulas and
-    the DRUP certification pipeline. *)
+    The conversion is the Plaisted-Greenbaum translation: a gate's
+    definition clauses are emitted only in the direction(s) its occurrence
+    polarity demands, and maximal same-connective And/Or spines are
+    flattened into n-ary definitions (width-capped), cutting both clause and
+    variable counts versus the textbook both-direction Tseitin translation.
+    Models still project correctly onto the input variables of an asserted
+    root, and the clause stream is what a DRUP proof of the solver's UNSAT
+    answer is checked against. *)
 
 type t
 
+(** The conversion, of which there is one. The type and {!create}'s
+    [?mode] stay only because the benchmark driver ([sufbench/traced.ml])
+    passes [~mode:Polarity], and that driver changes only together with the
+    benchmark. *)
 type mode =
-  | Full  (** both-direction binary Tseitin, the paper's translation *)
   | Polarity  (** polarity-aware Plaisted-Greenbaum with n-ary flattening *)
 
 val create : ?mode:mode -> Sepsat_sat.Solver.t -> t
-(** [mode] defaults to {!Polarity}. *)
 
 val lit_of_var : t -> int -> Sepsat_sat.Lit.t
 (** Solver literal standing for a formula variable index; allocated (and
@@ -32,16 +32,10 @@ val find_var : t -> int -> Sepsat_sat.Lit.t option
 (** Like {!lit_of_var} but without allocating: [None] means the formula
     variable never reached the solver (its value is unconstrained). *)
 
-val encode : t -> Formula.t -> Sepsat_sat.Lit.t
-(** Returns the literal equisatisfiably representing the formula; definition
-    clauses are added to the solver as a side effect. In {!Polarity} mode the
-    returned literal is fully defined (both directions), since the caller may
-    use it under either sign. *)
-
 val assert_root : t -> Formula.t -> unit
-(** Encodes the formula and asserts it. In {!Polarity} mode the assertion is
-    clausal: conjunctive roots split into several roots and disjunctive roots
-    become a single clause, so no top-level gate variables are introduced. *)
+(** Encodes the formula and asserts it. The assertion is clausal:
+    conjunctive roots split into several roots and disjunctive roots become
+    a single clause, so no top-level gate variables are introduced. *)
 
 val clauses_added : t -> int
 (** Total CNF clauses this encoder has pushed into the solver (the "# of CNF

@@ -1,12 +1,12 @@
 type t = {
   cpu_until : float option;
   wall_until : float option;
-  stop : bool Atomic.t option;
+  stops : bool Atomic.t list;
 }
 
 exception Timeout
 
-let none = { cpu_until = None; wall_until = None; stop = None }
+let none = { cpu_until = None; wall_until = None; stops = [] }
 
 let now () = Sys.time ()
 
@@ -16,10 +16,9 @@ let after s = { none with cpu_until = Some (now () +. s) }
 
 let after_wall s = { none with wall_until = Some (wall_now () +. s) }
 
-let with_stop t flag = { t with stop = Some flag }
+let with_stop t flag = { t with stops = flag :: t.stops }
 
-let interrupted t =
-  match t.stop with None -> false | Some f -> Atomic.get f
+let interrupted t = List.exists Atomic.get t.stops
 
 let exceeded t =
   interrupted t
@@ -34,5 +33,10 @@ let remaining t =
   | Some c, None -> Some c
   | None, Some w -> Some w
   | Some c, Some w -> Some (Float.min c w)
+
+let to_wall t =
+  match remaining t with
+  | None -> { none with stops = t.stops }
+  | Some r -> { (after_wall r) with stops = t.stops }
 
 let check t = if exceeded t then raise Timeout

@@ -28,10 +28,11 @@ val with_stop : t -> bool Atomic.t -> t
 (** [with_stop t flag] also fires as soon as [flag] becomes true — the
     cancellation path of the portfolio race: the winner raises the shared
     flag and every deadline poll in the losers (translation loops included)
-    observes it. *)
+    observes it. Flags accumulate: [t]'s own flags keep firing it too, so a
+    component pool's short-circuit flag does not mask the caller's. *)
 
 val interrupted : t -> bool
-(** Whether the {!with_stop} flag (if any) has been raised — distinguishes
+(** Whether any {!with_stop} flag has been raised — distinguishes
     cancellation from a genuine budget timeout. *)
 
 val exceeded : t -> bool
@@ -39,6 +40,10 @@ val exceeded : t -> bool
 val remaining : t -> float option
 (** Seconds until the deadline fires (negative if already passed); [None]
     for {!none}. When both clocks are armed, the tighter one is reported. *)
+
+val to_wall : t -> t
+(** The same remaining budget counted on the wall clock from now, with the
+    same stop flags — what a multi-domain strategy runs against. *)
 
 val check : t -> unit
 (** @raise Timeout if the deadline has passed. *)

@@ -198,7 +198,16 @@ let test_certified_suite () =
         in
         (match (r.Decide.verdict, r.Decide.certified) with
         | Verdict.Valid, Some true -> ()
-        | _ -> Alcotest.failf "%s should be valid and certified" name))
+        | _ -> Alcotest.failf "%s should be valid and certified" name);
+        (* Certification logs the proof of the very CNF an uncertified run
+           solves: asking for it must not change the conversion. *)
+        let plain =
+          let ctx = Ast.create_ctx () in
+          Decide.decide ~deadline:(Deadline.after 30.) ctx (b.Suite.build ctx)
+        in
+        Alcotest.(check int)
+          (name ^ " cnf clauses with and without certify")
+          plain.Decide.cnf_clauses r.Decide.cnf_clauses)
     [ "pipe.1"; "lsu.1"; "cache.2"; "tv.1"; "drv.2" ]
 
 (* (f) the textual pipeline: parse, decide, verify a known countermodel *)

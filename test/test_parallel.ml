@@ -1,8 +1,9 @@
 (* Tests for structure-parallel solving (lib/core/parallel, lib/sep/component):
    the component split's independence, COMPONENTS agreement with the
    sequential pipeline on random formulas and on the suite, merged
-   countermodels that certify, the UNSAT short-circuit, and graceful
-   degeneration on formulas that refuse to split. *)
+   countermodels that certify, the UNSAT short-circuit, graceful
+   degeneration on formulas that refuse to split, cancellation from the
+   caller, and how the shared eager step names an Unknown. *)
 
 module Ast = Sepsat_suf.Ast
 module Elim = Sepsat_suf.Elim
@@ -130,6 +131,79 @@ let test_components_degenerate () =
   Alcotest.(check bool) "pooled solve phase" true
     (List.mem_assoc "solve" r'.Decide.phase_times)
 
+let test_components_caller_stop () =
+  (* A stop flag raised by the caller (a portfolio race, a cancelling server)
+     reaches the pool's translation and search polls alongside the pool's own
+     short-circuit flag: the answer is a cancellation, not a verdict. *)
+  let ctx = Ast.create_ctx () in
+  let f = (bench "batch.2").Suite.build ctx in
+  let elim = Elim.eliminate ctx f in
+  let split =
+    Component.split ctx ~p_consts:elim.Elim.p_consts elim.Elim.formula
+  in
+  let cr =
+    Sepsat.Parallel.solve_components ~pool:1 ~simplify:false
+      ~stop:(Atomic.make true) ~config:Sepsat_encode.Hybrid.default
+      ~deadline:(deadline ()) ~certify:false ctx ~p_consts:elim.Elim.p_consts
+      split
+  in
+  Alcotest.(check string) "cancelled" "unknown: cancelled"
+    (verdict_label cr.Sepsat.Parallel.cr_verdict);
+  (* ... and a flag carried by the caller's deadline survives COMPONENTS'
+     switch to a wall-clock budget. *)
+  let r =
+    Decide.decide ~method_:Decide.Components
+      ~deadline:(Deadline.with_stop (deadline ()) (Atomic.make true))
+      ctx f
+  in
+  Alcotest.(check string) "decide: cancelled" "unknown: cancelled"
+    (verdict_label r.Decide.verdict)
+
+(* -- The shared CNF -> SAT -> verdict step --------------------------------- *)
+
+(* The solver polls its deadline only at restarts (the first after 100
+   conflicts) and every 1024 conflicts, so the formula must need more than
+   100 conflicts for an exhausted budget to be observed at all. *)
+let test_eager_unknown_naming () =
+  let ctx = Ast.create_ctx () in
+  let f = (bench "pipe.3").Suite.build ctx in
+  let elim = Elim.eliminate ctx f in
+  let enc =
+    Sepsat_encode.Hybrid.encode ~config:Sepsat_encode.Hybrid.sd_only ctx
+      ~p_consts:elim.Elim.p_consts elim.Elim.formula
+  in
+  let run deadline =
+    let q =
+      Sepsat.Eager.load ~simplify:false enc.Sepsat_encode.Hybrid.prop_ctx
+        enc.Sepsat_encode.Hybrid.f_bool
+    in
+    let v, _ =
+      Sepsat.Eager.check ~deadline ~decode:enc.Sepsat_encode.Hybrid.decode q
+    in
+    (q, v)
+  in
+  let q, v = run (deadline ()) in
+  Alcotest.(check string) "unbounded" "valid" (verdict_label v);
+  let stats = Sepsat_sat.Solver.stats (Sepsat.Eager.solver q) in
+  let conflicts = stats.Sepsat_sat.Solver.conflicts in
+  Alcotest.(check bool) "needs over 100 conflicts" true (conflicts > 100);
+  let _, v = run (Deadline.with_stop Deadline.none (Atomic.make true)) in
+  Alcotest.(check string) "stop flag raised" "unknown: cancelled"
+    (verdict_label v);
+  let _, v = run (Deadline.after_wall 0.) in
+  Alcotest.(check string) "budget spent" "unknown: timeout" (verdict_label v);
+  (* The same rule names a cancellation that lands in [Decide]'s SAT phase
+     (SD translation never polls, so the flag is first seen there). *)
+  let r =
+    Decide.decide ~method_:Decide.Sd ~simplify:false
+      ~deadline:(Deadline.with_stop Deadline.none (Atomic.make true))
+      ctx f
+  in
+  Alcotest.(check string) "decide: cancelled in sat" "unknown: cancelled"
+    (verdict_label r.Decide.verdict);
+  Alcotest.(check bool) "decide: reached the sat phase" true
+    (List.mem_assoc "sat" r.Decide.phase_times)
+
 (* -- Random cross-check ---------------------------------------------------- *)
 
 let prop_parallel_agreement =
@@ -168,6 +242,13 @@ let () =
           Alcotest.test_case "unsat short-circuit" `Quick
             test_components_shortcircuit;
           Alcotest.test_case "degeneration" `Quick test_components_degenerate;
+          Alcotest.test_case "caller stop cancels" `Quick
+            test_components_caller_stop;
+        ] );
+      ( "eager step",
+        [
+          Alcotest.test_case "cancelled vs timeout" `Quick
+            test_eager_unknown_naming;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_parallel_agreement ] );

@@ -159,44 +159,7 @@ let test_tseitin_clause_count () =
   let solver = Solver.create () in
   let ts = Tseitin.create solver in
   Tseitin.assert_root ts f;
-  Alcotest.(check int) "polarity clauses" 10 (Tseitin.clauses_added ts);
-  (* Full: 9 And nodes, 3 clauses each, plus the root unit. *)
-  let solver2 = Solver.create () in
-  let ts2 = Tseitin.create ~mode:Tseitin.Full solver2 in
-  Tseitin.assert_root ts2 f;
-  Alcotest.(check int) "full clauses" 28 (Tseitin.clauses_added ts2)
-
-(* Property: the Plaisted-Greenbaum conversion reaches the same verdict as
-   the full Tseitin conversion and never emits more clauses. *)
-let prop_pg_matches_full =
-  QCheck2.Test.make ~name:"polarity and full conversions agree" ~count:300
-    (gen_formula 5 4) (fun (_ctx, f) ->
-      let run mode =
-        let solver = Solver.create () in
-        let ts = Tseitin.create ~mode solver in
-        Tseitin.assert_root ts f;
-        (Solver.solve solver, Tseitin.clauses_added ts)
-      in
-      let vpg, npg = run Tseitin.Polarity in
-      let vfull, nfull = run Tseitin.Full in
-      vpg = vfull && npg <= nfull)
-
-(* Property: Full mode keeps models projectable too. *)
-let prop_full_model_faithful =
-  QCheck2.Test.make ~name:"full tseitin model-faithful" ~count:150
-    (gen_formula 4 4) (fun (_ctx, f) ->
-      let solver = Solver.create () in
-      let ts = Tseitin.create ~mode:Tseitin.Full solver in
-      Tseitin.assert_root ts f;
-      match Solver.solve solver with
-      | Solver.Sat ->
-        let assign i =
-          match Tseitin.find_var ts i with
-          | Some lit -> Solver.value solver lit
-          | None -> false
-        in
-        F.eval assign f
-      | Solver.Unsat | Solver.Unknown -> true)
+  Alcotest.(check int) "polarity clauses" 10 (Tseitin.clauses_added ts)
 
 let () =
   Alcotest.run "prop"
@@ -213,8 +176,6 @@ let () =
         [
           Alcotest.test_case "clause count" `Quick test_tseitin_clause_count;
           QCheck_alcotest.to_alcotest prop_tseitin_equisat;
-          QCheck_alcotest.to_alcotest prop_pg_matches_full;
-          QCheck_alcotest.to_alcotest prop_full_model_faithful;
           QCheck_alcotest.to_alcotest prop_eval_consistent;
         ] );
     ]
