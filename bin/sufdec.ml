@@ -44,13 +44,25 @@ let read_all ic =
   (try loop () with End_of_file -> ());
   Buffer.contents buf
 
-let read_text path = if path = "-" then read_all stdin else (
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_all ic))
+(* A missing, unreadable or non-regular input is a usage problem, like a
+   parse error: one line on stderr and exit 2, never an uncaught exception. *)
+let read_text path =
+  try
+    if path = "-" then read_all stdin
+    else In_channel.with_open_bin path read_all
+  with Sys_error reason ->
+    (* [Sys_error] from [open] already names the path. *)
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix reason then
+        String.sub reason (String.length prefix)
+          (String.length reason - String.length prefix)
+      else reason
+    in
+    Format.eprintf "sufdec: cannot read %s: %s@." path reason;
+    exit 2
 
-let read_formula ctx path =
-  if path = "-" then Parse.formula ctx (read_all stdin)
-  else Parse.formula_of_file ctx path
+let read_formula ctx path = Parse.formula ctx (read_text path)
 
 let method_conv =
   let parse s =
@@ -90,10 +102,23 @@ let portfolio_arg =
           "Race SD, EIJ and HYBRID on separate cores; the first decisive \
            verdict wins and cancels the others. Overrides $(b,--method).")
 
+(* A budget of zero, a negative one or nan would otherwise slip through as
+   "no budget at all"; cmdliner turns the [Error] into a usage error. *)
+let seconds_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some t when Float.is_finite t && t > 0. -> Ok t
+    | Some _ | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "invalid duration %S (expected seconds, finite and > 0)" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let timeout_arg =
   Arg.(
     value
-    & opt float 60.
+    & opt seconds_conv 60.
     & info [ "t"; "timeout" ] ~docv:"SECONDS" ~doc:"CPU-time budget.")
 
 let countermodel_arg =
@@ -439,8 +464,7 @@ let smt_cmd =
   let run file method_ timeout obs_finish =
     let ctx = Ast.create_ctx () in
     match
-      if file = "-" then Sepsat_suf.Smtlib.script ctx (read_all stdin)
-      else Sepsat_suf.Smtlib.script_of_file ctx file
+      Sepsat_suf.Smtlib.script ctx (read_text file)
     with
     | exception Sepsat_suf.Smtlib.Error msg ->
       Format.eprintf "smt-lib error: %s@." msg;
@@ -581,7 +605,7 @@ let serve_cmd =
   in
   let default_timeout_arg =
     Arg.(
-      value & opt float 30.
+      value & opt seconds_conv 30.
       & info [ "t"; "timeout" ] ~docv:"SECONDS"
           ~doc:
             "Default per-request wall-clock budget (requests may override \
@@ -1316,7 +1340,7 @@ let fleet_cmd =
   in
   let timeout_arg' =
     Arg.(
-      value & opt float 30.
+      value & opt seconds_conv 30.
       & info [ "t"; "timeout" ] ~docv:"SECONDS"
           ~doc:"Default per-request budget passed to each backend.")
   in

@@ -4,9 +4,7 @@ module Elim = Sepsat_suf.Elim
 module Verdict = Sepsat_sep.Verdict
 module Component = Sepsat_sep.Component
 module Hybrid = Sepsat_encode.Hybrid
-module F = Sepsat_prop.Formula
 module Solver = Sepsat_sat.Solver
-module Lit = Sepsat_sat.Lit
 module Deadline = Sepsat_util.Deadline
 module Svc = Sepsat_baselines.Svc
 module Lazy_smt = Sepsat_baselines.Lazy_smt
@@ -360,116 +358,6 @@ let decide ?(method_ = Hybrid_default) ?(deadline = Deadline.none)
   | Lazy_baseline -> decide_lazy ~simplify ~deadline ctx formula
   | Portfolio -> decide_portfolio ~simplify ~deadline ~certify ctx formula
   | Components -> decide_components ~simplify ~deadline ~certify ctx formula
-
-(* -- Incremental SEP_THOLD sweep ------------------------------------------ *)
-
-type sweep_point = {
-  sw_threshold : int;
-  sw_verdict : Verdict.t;
-  sw_conflicts : int;
-  sw_time : float;
-}
-
-type sweep = {
-  points : sweep_point list;
-  solver_creates : int;
-  sweep_cnf_clauses : int;
-  sweep_translate_time : float;
-  sweep_stats : Solver.stats option;
-}
-
-let default_sweep_thresholds = [ 0; 50; 200; 400; 700; 2000; max_int ]
-
-let decide_sweep ?(thresholds = default_sweep_thresholds)
-    ?(deadline = Deadline.none) ?simplify ctx formula =
-  let simplify = want_simplify simplify in
-  let t0 = Deadline.now () in
-  let elim = Obs.span ~cat:"pipeline" "elim" (fun () -> Elim.eliminate ctx formula) in
-  match
-    Obs.span ~cat:"pipeline" "encode.selective" (fun () ->
-        Hybrid.encode_selective ctx ~p_consts:elim.Elim.p_consts
-          elim.Elim.formula)
-  with
-  | exception Hybrid.Translation_blowup ->
-    (* Selector mode routes every class through EIJ too, so its translation
-       can blow up where high fixed thresholds would not; sweep the slow way,
-       one encoding and solver per threshold. *)
-    let points =
-      List.map
-        (fun th ->
-          let r =
-            decide_eager ~simplify ~config:(Hybrid.hybrid ~threshold:th ())
-              ~deadline ~certify:false ctx formula
-          in
-          {
-            sw_threshold = th;
-            sw_verdict = r.verdict;
-            sw_conflicts =
-              (match r.sat_stats with
-              | Some st -> st.Solver.conflicts
-              | None -> 0);
-            sw_time = r.total_time;
-          })
-        thresholds
-    in
-    {
-      points;
-      solver_creates = List.length thresholds;
-      sweep_cnf_clauses = 0;
-      sweep_translate_time = Deadline.now () -. t0;
-      sweep_stats = None;
-    }
-  | enc ->
-    let q =
-      Obs.span ~cat:"pipeline" "cnf" (fun () ->
-          Eager.load ~simplify enc.Hybrid.sel_prop_ctx enc.Hybrid.sel_f_bool)
-    in
-    let solver = Eager.solver q in
-    let t1 = Deadline.now () in
-    let sel_lits =
-      Array.map (fun sel -> Eager.lit_of_var q (F.var_index sel))
-        enc.Hybrid.selectors
-    in
-    (* Every sweep point re-assumes the full selector vector, so the
-       simplifier must never resolve these variables away between calls. *)
-    Array.iter (fun l -> Solver.freeze solver (Lit.var l)) sel_lits;
-    let points =
-      List.map
-        (fun th ->
-          (* SEP_THOLD = th as an assumption vector over the selectors: class
-             i goes through SD exactly when its SepCnt exceeds th. *)
-          let assumptions =
-            Array.to_list
-              (Array.mapi
-                 (fun i l ->
-                   if enc.Hybrid.sep_cnts.(i) > th then l else Lit.neg l)
-                 sel_lits)
-          in
-          let c0 = (Solver.stats solver).Solver.conflicts in
-          let ta = Deadline.now () in
-          let verdict, _ =
-            Obs.span ~cat:"sweep"
-              (Printf.sprintf "sweep.th=%d" th)
-              (fun () ->
-                Eager.check ~assumptions ~deadline
-                  ~decode:enc.Hybrid.sel_decode q)
-          in
-          let tb = Deadline.now () in
-          {
-            sw_threshold = th;
-            sw_verdict = verdict;
-            sw_conflicts = (Solver.stats solver).Solver.conflicts - c0;
-            sw_time = tb -. ta;
-          })
-        thresholds
-    in
-    {
-      points;
-      solver_creates = 1;
-      sweep_cnf_clauses = Eager.clauses q;
-      sweep_translate_time = t1 -. t0;
-      sweep_stats = Some (Solver.stats solver);
-    }
 
 let valid ?method_ ctx formula =
   match (decide ?method_ ctx formula).verdict with

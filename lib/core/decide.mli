@@ -100,9 +100,9 @@ val decide :
     {!simplify_default} (initially on). *)
 
 val set_simplify_default : bool -> unit
-(** Sets the process-wide default for the [?simplify] arguments of {!decide}
-    and {!decide_sweep} (and everything layered on them: {!Portfolio}, the
-    bench harness, the differential fuzzer). Initially [true]. Atomic, so a
+(** Sets the process-wide default for the [?simplify] argument of {!decide}
+    (and everything layered on it: {!Portfolio}, the bench harness, the
+    differential fuzzer). Initially [true]. Atomic, so a
     toggle is visible to portfolio domains spawned afterwards. *)
 
 val simplify_default : unit -> bool
@@ -117,44 +117,3 @@ val valid : ?method_:method_ -> Ast.ctx -> Ast.formula -> bool
 
 val portfolio_members : method_ list
 (** The methods {!Portfolio} races: SD, EIJ, HYBRID(default), COMPONENTS. *)
-
-(** {2 Incremental SEP_THOLD sweep}
-
-    Decides the same formula at several [SEP_THOLD] values on one incremental
-    SAT solver: the selector-literal encoding
-    ({!Sepsat_encode.Hybrid.encode_selective}) defers each class's SD/EIJ
-    routing to a selector variable, and each threshold becomes a vector of
-    assumptions over the selectors. Learnt clauses, activities and saved
-    phases carry across the whole sweep. *)
-
-type sweep_point = {
-  sw_threshold : int;
-  sw_verdict : Verdict.t;
-  sw_conflicts : int;  (** conflicts spent on this threshold alone *)
-  sw_time : float;  (** seconds inside this threshold's [solve] call *)
-}
-
-type sweep = {
-  points : sweep_point list;
-  solver_creates : int;
-      (** SAT solver instances built: 1 on the incremental path, one per
-          threshold on the {!Sepsat_encode.Hybrid.Translation_blowup}
-          fallback *)
-  sweep_cnf_clauses : int;  (** 0 on the fallback path *)
-  sweep_translate_time : float;
-  sweep_stats : Solver.stats option;  (** final solver stats; incremental path only *)
-}
-
-val default_sweep_thresholds : int list
-(** [0; 50; 200; 400; 700; 2000; max_int] — pure SD through pure EIJ. *)
-
-val decide_sweep :
-  ?thresholds:int list ->
-  ?deadline:Sepsat_util.Deadline.t ->
-  ?simplify:bool ->
-  Ast.ctx ->
-  Ast.formula ->
-  sweep
-(** Verdicts agree point-for-point with [decide ~method_:(Hybrid_at t)].
-    [simplify] defaults to {!simplify_default}; the selector variables are
-    frozen so inprocessing never eliminates them between sweep points. *)

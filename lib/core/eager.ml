@@ -20,8 +20,8 @@ let load ~simplify ?stop ?(certify = false) ctx root =
   Tseitin.assert_root tseitin (F.not_ ctx root);
   { solver; tseitin; proof }
 
-let check ?assumptions ~deadline ~decode t =
-  match Solver.solve ~deadline ?assumptions t.solver with
+let check ~deadline ~decode t =
+  match Solver.solve ~deadline t.solver with
   | Solver.Unsat ->
     (Verdict.Valid, Option.map Sepsat_sat.Drup_check.certified t.proof)
   | Solver.Sat ->
@@ -38,8 +38,6 @@ let check ?assumptions ~deadline ~decode t =
       Deadline.interrupted deadline || Solver.interrupted t.solver
     in
     (Verdict.Unknown (if cancelled then "cancelled" else "timeout"), None)
-
-let lit_of_var t i = Tseitin.lit_of_var t.tseitin i
 
 let solver t = t.solver
 

@@ -2,8 +2,8 @@
 
     Every caller that turns a propositional encoding into a verdict goes
     through {!load} and {!check}: the eager methods ({!Decide}), each worker
-    of the component pool ({!Parallel}), the threshold sweep, DIMACS export
-    and the positive-equality ablation. So there is one CNF conversion
+    of the component pool ({!Parallel}), DIMACS export and the
+    positive-equality ablation. So there is one CNF conversion
     (polarity-aware {!Sepsat_prop.Tseitin}), one model decode, one DRUP
     replay and one rule for naming an [Unknown]. *)
 
@@ -22,21 +22,16 @@ val load :
     [certify] (default [false]), and asserts the CNF of [¬root]. *)
 
 val check :
-  ?assumptions:Sepsat_sat.Lit.t list ->
   deadline:Sepsat_util.Deadline.t ->
   decode:((int -> bool) -> Sepsat_sep.Brute.assignment) ->
   t ->
   Sepsat_sep.Verdict.t * bool option
-(** Solves under [deadline] and [assumptions]. Unsatisfiable gives [Valid]
-    with, when loaded with [~certify:true], the DRUP replay's result
-    (meaningful only without assumptions); satisfiable gives
+(** Solves under [deadline]. Unsatisfiable gives [Valid] with, when loaded
+    with [~certify:true], the DRUP replay's result; satisfiable gives
     [Invalid (decode model)], a variable that never reached the solver
     reading [false]; out of budget gives [Unknown "cancelled"] if a stop
     flag of the deadline or the solver is up, [Unknown "timeout"]
     otherwise. *)
-
-val lit_of_var : t -> int -> Sepsat_sat.Lit.t
-(** Solver literal of a formula variable, allocated on demand. *)
 
 val solver : t -> Sepsat_sat.Solver.t
 

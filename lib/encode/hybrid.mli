@@ -93,38 +93,3 @@ val p_values_of :
     formula — what {!p_values} computes internally. Lets callers that built
     the classes for other reasons (e.g. the component split) avoid
     re-normalizing. *)
-
-type selective = {
-  sel_prop_ctx : F.ctx;
-  sel_f_bool : F.t;
-  selectors : F.t array;
-      (** per-class selector variables, indexed by class id: forcing
-          [selectors.(i)] true routes class [i]'s atoms through SD, false
-          through EIJ. Fixing every selector (e.g. as SAT assumptions)
-          recovers the fixed-threshold encoding of any [SEP_THOLD] from one
-          CNF. *)
-  sep_cnts : int array;
-      (** per-class [SepCnt], the quantity [SEP_THOLD] thresholds against;
-          selector [i] should be assumed true iff [sep_cnts.(i) > threshold] *)
-  sel_stats : stats;  (** [sd_classes]/[eij_classes] are 0: not fixed here *)
-  sel_decode : (int -> bool) -> Brute.assignment;
-      (** reads the selector values off the model itself, so it decodes
-          correctly whatever threshold the assumptions imposed *)
-}
-
-val encode_selective :
-  ?eij_budget:int ->
-  ?deadline:Sepsat_util.Deadline.t ->
-  Ast.ctx ->
-  p_consts:Sset.t ->
-  Ast.formula ->
-  selective
-(** Threshold-deferred encoding: every class is encoded both ways, with
-    per-atom if-then-else on the class selector. One propositional formula
-    (and hence one incremental SAT solver) then serves a whole [SEP_THOLD]
-    sweep via {!Sepsat_sat.Solver.solve}'s [assumptions]. Because EIJ runs on
-    every class (not just the small ones), the translation budget can be
-    exhausted where a fixed high threshold would not — callers should fall
-    back to per-threshold {!encode} on {!Translation_blowup}.
-    @raise Translation_blowup when EIJ translation exceeds its budget.
-    @raise Invalid_argument if the formula contains applications. *)

@@ -46,10 +46,10 @@ val figure_parallel : ?deadline_s:float -> Format.formatter -> unit
     multi-component [batch.N] instances. *)
 
 val ablation_threshold : ?deadline_s:float -> Format.formatter -> unit
-(** Design-choice ablation: HYBRID search time across a SEP_THOLD sweep on
-    representative benchmarks, run as assumption vectors against a single
-    incremental SAT solver ({!Sepsat.Decide.decide_sweep}), showing the
-    SD/EIJ crossover the default threshold balances. *)
+(** Design-choice ablation: HYBRID total time at seven SEP_THOLD values,
+    from pure SD to pure EIJ, on representative benchmarks, one full
+    {!Sepsat.Decide.decide} run per threshold, showing the SD/EIJ crossover
+    the default threshold balances. *)
 
 val ablation_positive_equality : ?deadline_s:float -> Format.formatter -> unit
 (** Design-choice ablation: encoding cost with and without the

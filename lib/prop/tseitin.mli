@@ -24,13 +24,10 @@ type mode =
 
 val create : ?mode:mode -> Sepsat_sat.Solver.t -> t
 
-val lit_of_var : t -> int -> Sepsat_sat.Lit.t
-(** Solver literal standing for a formula variable index; allocated (and
-    cached) on demand, so the caller can decode models. *)
-
 val find_var : t -> int -> Sepsat_sat.Lit.t option
-(** Like {!lit_of_var} but without allocating: [None] means the formula
-    variable never reached the solver (its value is unconstrained). *)
+(** Solver literal standing for a formula variable index, so the caller can
+    decode models: [None] means the formula variable never reached the
+    solver (its value is unconstrained). *)
 
 val assert_root : t -> Formula.t -> unit
 (** Encodes the formula and asserts it. The assertion is clausal:

@@ -113,10 +113,3 @@ let formula ctx text =
   | exception Sexp.Error msg -> error "%s" msg
   | s -> (
     try to_formula ctx s with Invalid_argument msg -> error "%s" msg)
-
-let formula_of_file ctx path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  formula ctx text

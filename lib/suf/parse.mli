@@ -22,6 +22,3 @@ exception Error of string
 
 val formula : Ast.ctx -> string -> Ast.formula
 (** @raise Error on lexical, syntactic or arity problems. *)
-
-val formula_of_file : Ast.ctx -> string -> Ast.formula
-(** Reads and parses a whole file. @raise Error / [Sys_error]. *)

@@ -250,13 +250,6 @@ let script ctx text =
     requested_check = !requested_check;
   }
 
-let script_of_file ctx path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  script ctx text
-
 let goal ctx s = Ast.not_ ctx (Ast.and_list ctx s.assertions)
 
 (* -- Printing --------------------------------------------------------------- *)

@@ -25,8 +25,6 @@ type script = {
 val script : Ast.ctx -> string -> script
 (** @raise Error on unsupported or malformed input. *)
 
-val script_of_file : Ast.ctx -> string -> script
-
 val goal : Ast.ctx -> script -> Ast.formula
 (** The validity query answering the script: the assertions are satisfiable
     iff this formula ([¬ (∧ assertions)]) is invalid. *)

@@ -274,6 +274,50 @@ let test_regressions () =
         all_methods)
     regression_cases
 
+(* (h) the CLI answers bad input with a usage exit code and one line on
+   stderr, never an uncaught exception (exit 125) *)
+let test_cli_input_errors () =
+  let exe =
+    match
+      List.find_opt Sys.file_exists
+        [ "../bin/sufdec.exe"; "_build/default/bin/sufdec.exe" ]
+    with
+    | Some exe -> exe
+    | None -> Alcotest.fail "sufdec.exe not built"
+  in
+  let err = Filename.temp_file "sufdec" ".err" in
+  let good = Filename.temp_file "sufdec" ".suf" in
+  Out_channel.with_open_bin good (fun oc -> output_string oc "(= x x)");
+  let missing = Filename.temp_file "sufdec" ".suf" in
+  Sys.remove missing;
+  let run args =
+    Sys.command
+      (Filename.quote_command exe args ~stdout:Filename.null ~stderr:err)
+  in
+  List.iter
+    (fun args ->
+      let label = String.concat " " args in
+      Alcotest.(check int) label 2 (run args);
+      Alcotest.(check bool)
+        (label ^ ": one-line message")
+        true
+        (String.starts_with ~prefix:"sufdec: cannot read "
+           (In_channel.with_open_bin err In_channel.input_all)))
+    [
+      [ "solve"; missing ];
+      [ "cnf"; missing ];
+      [ "stats"; missing ];
+      [ "smt"; missing ];
+      [ "solve"; Filename.get_temp_dir_name () ];
+    ];
+  List.iter
+    (fun t ->
+      Alcotest.(check int) ("--timeout=" ^ t) 124
+        (run [ "solve"; "--timeout=" ^ t; good ]))
+    [ "-1"; "0"; "nan"; "inf" ];
+  Alcotest.(check int) "--timeout=1.5" 0 (run [ "solve"; "--timeout=1.5"; good ]);
+  List.iter Sys.remove [ err; good ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -295,5 +339,6 @@ let () =
         [
           Alcotest.test_case "parse and decide" `Quick test_parse_decide;
           Alcotest.test_case "regressions" `Quick test_regressions;
+          Alcotest.test_case "cli input errors" `Quick test_cli_input_errors;
         ] );
     ]

@@ -1,7 +1,6 @@
-(* Tests for the multicore portfolio and the incremental SEP_THOLD sweep:
-   the race must agree with every individual method, and a whole sweep must
-   run on a single SAT solver instance with point-for-point the verdicts of
-   the per-threshold fixed encodings. *)
+(* Tests for the multicore portfolio and the SEP_THOLD sweep: the race must
+   agree with every individual method, and HYBRID must find a witnessed
+   countermodel at every threshold from pure SD to pure EIJ. *)
 
 module Ast = Sepsat_suf.Ast
 module Suite = Sepsat_workloads.Suite
@@ -87,52 +86,13 @@ let test_portfolio_facade () =
     Alcotest.(check int) "four members" 4
       (List.length Decide.portfolio_members)
 
-(* -- Incremental sweep ----------------------------------------------------- *)
+(* -- SEP_THOLD sweep ------------------------------------------------------- *)
 
-let sweep_benchmarks = [ "pipe.2"; "cache.3" ]
-
-let test_sweep_single_solver () =
-  List.iter
-    (fun name ->
-      match Suite.find name with
-      | None -> Alcotest.fail (name ^ " missing")
-      | Some bench ->
-        let ctx = Ast.create_ctx () in
-        let formula = bench.Suite.build ctx in
-        let sweep = Decide.decide_sweep ~deadline:(deadline ()) ctx formula in
-        Alcotest.(check int)
-          (name ^ ": one solver for the whole sweep")
-          1 sweep.Decide.solver_creates;
-        Alcotest.(check int)
-          (name ^ ": one point per threshold")
-          (List.length Decide.default_sweep_thresholds)
-          (List.length sweep.Decide.points))
-    sweep_benchmarks
-
-let test_sweep_matches_fixed () =
-  List.iter
-    (fun name ->
-      match Suite.find name with
-      | None -> Alcotest.fail (name ^ " missing")
-      | Some bench ->
-        let ctx = Ast.create_ctx () in
-        let formula = bench.Suite.build ctx in
-        let sweep = Decide.decide_sweep ~deadline:(deadline ()) ctx formula in
-        List.iter
-          (fun (p : Decide.sweep_point) ->
-            let fixed =
-              decide_on (Decide.Hybrid_at p.Decide.sw_threshold) bench
-            in
-            Alcotest.(check string)
-              (Printf.sprintf "%s at threshold %d" name p.Decide.sw_threshold)
-              (verdict_label fixed.Decide.verdict)
-              (verdict_label p.Decide.sw_verdict))
-          sweep.Decide.points)
-    sweep_benchmarks
+let sweep_thresholds = [ 0; 50; 200; 400; 700; 2000; max_int ]
 
 let test_sweep_buggy_invalid () =
-  (* On a buggy instance every threshold must answer Invalid, and the decoded
-     countermodel comes off the selector-aware decoder. *)
+  (* On a buggy instance every threshold must answer Invalid, with a witness
+     that falsifies the original formula whatever the SD/EIJ routing. *)
   let bench =
     match Suite.find "pipe.2" with
     | Some b -> b
@@ -140,16 +100,24 @@ let test_sweep_buggy_invalid () =
   in
   let ctx = Ast.create_ctx () in
   let formula = bench.Suite.build ~bug:true ctx in
-  let sweep = Decide.decide_sweep ~deadline:(deadline ()) ctx formula in
-  Alcotest.(check int) "single solver" 1 sweep.Decide.solver_creates;
   List.iter
-    (fun (p : Decide.sweep_point) ->
-      match p.Decide.sw_verdict with
-      | Verdict.Invalid _ -> ()
-      | v ->
-        Alcotest.failf "threshold %d: expected invalid, got %s"
-          p.Decide.sw_threshold (verdict_label v))
-    sweep.Decide.points
+    (fun t ->
+      let r =
+        Decide.decide ~method_:(Decide.Hybrid_at t) ~deadline:(deadline ()) ctx
+          formula
+      in
+      match (r.Decide.verdict, r.Decide.witness) with
+      | Verdict.Invalid _, Some w ->
+        Alcotest.(check bool)
+          (Printf.sprintf "threshold %d: witness falsifies" t)
+          true
+          (Sepsat.Witness.falsifies w formula)
+      | Verdict.Invalid _, None ->
+        Alcotest.failf "threshold %d: invalid without a witness" t
+      | v, _ ->
+        Alcotest.failf "threshold %d: expected invalid, got %s" t
+          (verdict_label v))
+    sweep_thresholds
 
 let () =
   Alcotest.run "portfolio"
@@ -164,9 +132,6 @@ let () =
         ] );
       ( "sweep",
         [
-          Alcotest.test_case "single solver" `Quick test_sweep_single_solver;
-          Alcotest.test_case "matches fixed thresholds" `Slow
-            test_sweep_matches_fixed;
           Alcotest.test_case "buggy instance invalid" `Quick
             test_sweep_buggy_invalid;
         ] );
